@@ -182,21 +182,25 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
               maxit: int = 1000, x0: Optional[np.ndarray] = None):
-    """Iterate V(1,1)-cycles until the relative residual meets tol."""
+    """Iterate V(1,1)-cycles until the relative residual meets tol.
+
+    A relative residual that is not finite (||b|| underflows to 0 while
+    b is nonzero) ends the solve unconverged.
+    """
     A = h.levels[0].matrix if h.levels else h.coarsest_matrix
     b = np.asarray(b, dtype=np.float64)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    if not np.any(b):
         return np.zeros_like(b), SolveReport(0, 0.0, True, 0, "amg")
+    bnorm = np.linalg.norm(b)
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     for it in range(maxit + 1):
         relres = np.linalg.norm(b - A.matvec(x)) / bnorm
         if relres <= tol:
             return x, SolveReport(it, relres, True, it * (2 * h.n_levels), "amg")
-        if it == maxit:
+        if it == maxit or not np.isfinite(relres):
             break
         x = vcycle(h, b, x)
-    return x, SolveReport(maxit, relres, False, maxit * (2 * h.n_levels), "amg")
+    return x, SolveReport(it, relres, False, it * (2 * h.n_levels), "amg")
 
 
 def cg_switch(spec: ProblemSpec, tau: float, h: float,
@@ -285,15 +289,15 @@ def two_level_solve(A: SymToeplitz, b: np.ndarray, tol: float = 1e-8,
     if cyc is None:
         cyc = TwoLevelV01(A)
     b = np.asarray(b, dtype=np.float64)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    if not np.any(b):
         return np.zeros_like(b), SolveReport(0, 0.0, True, 0, "two-level")
+    bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     for it in range(maxit + 1):
         relres = np.linalg.norm(b - A.matvec(x)) / bnorm
         if relres <= tol:
             return x, SolveReport(it, relres, True, it, "two-level")
-        if it == maxit:
+        if it == maxit or not np.isfinite(relres):
             break
         x = cyc.apply(b, x)
-    return x, SolveReport(maxit, relres, False, maxit, "two-level")
+    return x, SolveReport(it, relres, False, it, "two-level")

@@ -9,11 +9,12 @@ the whole solution history.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
@@ -125,25 +126,41 @@ def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
                       tau=tau, scale_record=record)
 
 
-@dataclass
 class TimeHistory:
-    """Nodal solution vectors U^0 ... U^{n-1} with their time stamps."""
+    """Nodal solution vectors U^0 ... U^{n-1}, stored as the first n rows
+    of one array.
 
-    states: List[np.ndarray]
-    times: List[float]
+    The array doubles its rows when full rather than holding all N+1
+    levels from the start: callers that need only the first step at
+    tau = h^2 would otherwise allocate N (M-1) numbers (32 GiB at
+    M = 2048).
+    """
+
+    def __init__(self, u0: np.ndarray):
+        u0 = np.asarray(u0, dtype=np.float64)
+        self._rows = u0[None, :].copy()
+        self._len = 1
 
     @classmethod
     def from_initial(cls, spec: ProblemSpec, mesh: Mesh) -> "TimeHistory":
         a, _ = spec.domain
-        u0 = np.asarray(spec.initial(mesh.interior_nodes(a)), dtype=np.float64)
-        return cls(states=[u0], times=[0.0])
+        return cls(spec.initial(mesh.interior_nodes(a)))
 
-    def append(self, state: np.ndarray, t: float):
-        self.states.append(np.asarray(state, dtype=np.float64))
-        self.times.append(float(t))
+    @property
+    def states(self) -> np.ndarray:
+        """The stored states as rows, a view of the history array."""
+        return self._rows[:self._len]
+
+    def append(self, state: np.ndarray):
+        if self._len == len(self._rows):
+            grown = np.empty((2 * self._len, self._rows.shape[1]))
+            grown[:self._len] = self._rows
+            self._rows = grown
+        self._rows[self._len] = state
+        self._len += 1
 
     def __len__(self):
-        return len(self.states)
+        return self._len
 
 
 def _graded_panels(lo, hi, toward_lo, levels=_BOUNDARY_GRADE_LEVELS):
@@ -160,68 +177,88 @@ def _graded_panels(lo, hi, toward_lo, levels=_BOUNDARY_GRADE_LEVELS):
     return np.concatenate(([lo], hi - w * frac[::-1], [hi]))
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = roots_legendre(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.lru_cache(maxsize=8)
+def _space_rule(a: float, h: float, m: int, nx: int):
+    """Spatial quadrature of the hat moments on the m cells of width h
+    starting at a: (points, weigh).
+
+    Every cell carries nx Gauss-Legendre points per panel; the two cells
+    touching the boundary are split into geometrically graded panels
+    because the built-in sources are singular there.  weigh is the
+    sparse (m-1) x P matrix that maps values at the P points to the
+    moments against the interior hats: cell k = 1..m (spanning
+    [x_{k-1}, x_k]) feeds phi_{k-1} (falling) and phi_k (rising).
+    """
+    gx, wx = _gauss_legendre(nx)
+    k = np.arange(1, m + 1)
+    lo, hi = a + (k - 1) * h, a + k * h
+    first = _graded_panels(lo[0], hi[0], toward_lo=True)
+    last = _graded_panels(lo[-1], hi[-1], toward_lo=False)
+    p_lo = np.concatenate((first[:-1], lo[1:-1], last[:-1]))
+    p_hi = np.concatenate((first[1:], hi[1:-1], last[1:]))
+    cell = np.concatenate((np.zeros(first.size - 1, dtype=np.intp),
+                           np.arange(1, m - 1),
+                           np.full(last.size - 1, m - 1)))  # 0-based
+    mid = 0.5 * (p_lo + p_hi)
+    half = 0.5 * (p_hi - p_lo)
+    pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    wts = (half[:, None] * wx[None, :]).ravel()
+    cell = np.repeat(cell, nx)
+    rows = np.concatenate((cell - 1, cell))
+    cols = np.tile(np.arange(pts.size), 2)
+    vals = np.concatenate((wts * (hi[cell] - pts) / h,
+                           wts * (pts - lo[cell]) / h))
+    keep = (rows >= 0) & (rows <= m - 2)  # boundary hats carry no moment
+    weigh = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                          shape=(m - 1, pts.size))
+    # cached and shared by every caller (pts goes to user callbacks)
+    pts.setflags(write=False)
+    weigh.data.setflags(write=False)
+    return pts, weigh
+
+
 def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
                   nx: int = 4, nt: int = 4) -> np.ndarray:
     """Moments of the source against each hat function over one time slab.
 
     Entry l is the integral of f * phi_l over (x_{l-1}, x_{l+1}) x
-    (t_{n-1}, t_n), by tensor Gauss-Legendre quadrature.  The two cells
-    touching the domain boundary are graded geometrically toward the
-    endpoint because the built-in sources are singular there.
+    (t_{n-1}, t_n), by tensor Gauss-Legendre quadrature.  The spatial
+    rule is built once per (a, h, m, nx); each call makes nt vectorised
+    source calls over all its points and one sparse product.
     """
     if not 1 <= n <= mesh.n_steps:
         raise ValueError(f"time level {n} outside 1..{mesh.n_steps}")
-    m, h = mesh.m, mesh.h
     a, _ = spec.domain
+    pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m, nx)
     t0, t1 = mesh.times[n - 1], mesh.times[n]
-    gx, wx = roots_legendre(nx)
-    gt, wt = roots_legendre(nt)
+    gt, wt = _gauss_legendre(nt)
     t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
     t_weights = 0.5 * (t1 - t0) * wt
-
-    # Per spatial cell: quadrature points and weights, graded when the
-    # cell touches the boundary.
-    def cell_rule(k):  # cell k spans [x_{k-1}, x_k], k = 1..m
-        lo, hi = a + (k - 1) * h, a + k * h
-        if k == 1:
-            cuts = _graded_panels(lo, hi, toward_lo=True)
-        elif k == m:
-            cuts = _graded_panels(lo, hi, toward_lo=False)
-        else:
-            cuts = np.array([lo, hi])
-        mid = 0.5 * (cuts[:-1] + cuts[1:])
-        half = 0.5 * np.diff(cuts)
-        pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        wts = (half[:, None] * wx[None, :]).ravel()
-        return pts, wts
-
-    # Time-integrated source at all cell quadrature points, cell by cell.
-    out = np.zeros(m - 1)
-    for k in range(1, m + 1):
-        pts, wts = cell_rule(k)
-        ft = np.zeros_like(pts)
-        for tq, twq in zip(t_nodes, t_weights):
-            ft += twq * np.asarray(spec.source(pts, tq), dtype=np.float64)
-        xl, xr = a + (k - 1) * h, a + k * h
-        # Hat functions overlapping cell k: phi_{k-1} (falling) and
-        # phi_k (rising); indices outside 1..m-1 are boundary hats.
-        rising = (pts - xl) / h
-        falling = (xr - pts) / h
-        if k - 1 >= 1:
-            out[k - 2] += np.dot(wts * ft, falling)
-        if k <= m - 1:
-            out[k - 1] += np.dot(wts * ft, rising)
-    return out
+    ft = np.zeros(pts.size)
+    for tq, twq in zip(t_nodes, t_weights):
+        ft += twq * np.asarray(spec.source(pts, tq), dtype=np.float64)
+    return weigh @ ft
 
 
-def history_weight(alpha: float, n: int, k: int, mesh: Mesh) -> float:
+def history_weight(alpha: float, n: int, k, mesh: Mesh):
     """Memory-term weight for history level k at the current level n.
 
     This is the second difference of t -> t^(2-alpha) across the two
     intervals, divided by tau_k * Gamma(3-alpha); always positive by
-    convexity of the power map.
+    convexity of the power map.  k may be an integer array, giving the
+    weights of all those levels at once.
     """
-    if not 1 <= k <= n - 1:
+    k = np.asarray(k)
+    if np.any((k < 1) | (k > n - 1)):
         raise ValueError(f"history index k={k} must satisfy 1 <= k <= n-1={n - 1}")
     t = mesh.times
     e = 2.0 - alpha
@@ -236,8 +273,9 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
     """Assemble the scaled right-hand side for time level n.
 
     history must hold exactly n states U^0 .. U^{n-1}.  All products use
-    the FFT Toeplitz matvec; the memory sum is collapsed into a single
-    mass-matrix product.
+    the FFT Toeplitz matvec.  The memory sum over k = 1..n-1 of
+    w_k (U^k - U^{k-1}) is one product of the differenced weight vector
+    with the stacked history, collapsed into a single mass-matrix product.
     """
     if len(history) != n:
         raise ValueError(f"history holds {len(history)} states, expected {n}")
@@ -248,7 +286,8 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
     if source_vec is None:
         source_vec = source_moment(spec, mesh, n)
 
-    u_prev = history.states[n - 1]
+    states = history.states
+    u_prev = states[n - 1]
     c_mass_prev = sum(c * tau ** (1.0 - a) / gamma_fn(3.0 - a)
                       for a, c in zip(orders.alphas, orders.a_coeffs))
     rhs = (source_vec
@@ -257,11 +296,11 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
            - spec.k2 * tau / 2.0 * mats.stiff_gamma.matvec(u_prev))
 
     if n > 1:
-        acc = np.zeros_like(u_prev)
-        for k in range(1, n):
-            w = sum(c * history_weight(a, n, k, mesh)
-                    for a, c in zip(orders.alphas, orders.a_coeffs))
-            acc += w * (history.states[k] - history.states[k - 1])
+        k = np.arange(1, n)
+        w = sum(c * history_weight(a, n, k, mesh)
+                for a, c in zip(orders.alphas, orders.a_coeffs))
+        # sum_k w_k (U^k - U^{k-1}) = sum_j (w_j - w_{j+1}) U^j, w_0 = w_n = 0
+        acc = -np.diff(w, prepend=0.0, append=0.0) @ states
         rhs -= mats.mass.matvec(acc)
 
     return g0 * tau ** (a0 - 1.0) * rhs

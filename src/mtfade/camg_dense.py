@@ -98,15 +98,15 @@ class DenseAmg:
     def solve(self, b: np.ndarray, tol: float = 1e-12, maxit: int = 1000):
         A = self.levels[0].matrix if self.levels else self.coarsest
         b = np.asarray(b, dtype=np.float64)
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
+        if not np.any(b):
             return np.zeros_like(b), SolveReport(0, 0.0, True, 0, "camg-dense")
+        bnorm = np.linalg.norm(b)
         x = np.zeros_like(b)
         for it in range(maxit + 1):
             relres = np.linalg.norm(b - A @ x) / bnorm
             if relres <= tol:
                 return x, SolveReport(it, relres, True, it, "camg-dense")
-            if it == maxit:
+            if it == maxit or not np.isfinite(relres):
                 break
             x = self._vcycle(0, b, x)
-        return x, SolveReport(maxit, relres, False, maxit, "camg-dense")
+        return x, SolveReport(it, relres, False, it, "camg-dense")

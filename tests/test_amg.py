@@ -8,6 +8,8 @@ from mtfade import (AmgParams, FractionalOrders, SymToeplitz, TimePolicy,
                     interp_apply, make_example_1, make_mesh, restrict_apply,
                     setup, split_cf, step_matrix, two_level_solve, vcycle)
 from mtfade.amg import AdaptiveSolver
+from mtfade.assembly import TimeHistory, rhs_vector
+from mtfade.camg_dense import DenseAmg
 from mtfade.solvers import dense_solve
 
 
@@ -192,3 +194,26 @@ class TestTwoLevelBaseline:
         _, _, mats = model_matrix(m=64)
         x, rep = two_level_solve(mats.a_full, np.zeros(mats.a_full.m))
         assert rep.iterations == 0 and np.all(x == 0.0)
+
+
+@pytest.mark.parametrize("solver", ["amg", "two-level", "camg-dense"])
+def test_underflowing_rhs_norm_is_not_claimed(solver):
+    # First-step system of example 1 at M = 64, b scaled by 1e-200: b is
+    # nonzero but ||b|| underflows to 0, so x = 0 solves nothing.
+    spec, mesh, mats = model_matrix(m=64)
+    A = mats.a_full
+    b = 1e-200 * rhs_vector(spec, mesh, 1,
+                            TimeHistory.from_initial(spec, mesh), mats)
+    assert np.any(b) and np.linalg.norm(b) == 0.0
+    with np.errstate(all="ignore"):
+        if solver == "amg":
+            x, rep = amg_solve(setup(A), b)
+        elif solver == "two-level":
+            x, rep = two_level_solve(A, b)
+        else:
+            x, rep = DenseAmg(A.to_dense()).solve(b)
+    assert not (rep.converged and not np.any(x))
+    if rep.converged:  # then x must solve the system rescaled to norm 1
+        s = 1.0 / np.max(np.abs(b))
+        r = s * b - A.matvec(s * x)
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(s * b)

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
+from scipy.special import roots_legendre
 
-from mtfade import (FractionalOrders, TimePolicy, TimeHistory, history_weight,
-                    make_example_1, make_example_2, make_mesh, mass_symbol,
-                    rhs_vector, source_moment, step_matrix, stiffness_symbol)
+from mtfade import (FractionalOrders, Mesh, TimePolicy, TimeHistory,
+                    history_weight, make_example_1, make_example_2, make_mesh,
+                    mass_symbol, rhs_vector, source_moment, step_matrix,
+                    stiffness_symbol)
+from mtfade.assembly import _graded_panels
 from mtfade.problem import ProblemSpec
 
 # 40-digit reference values for stiffness-symbol entries
@@ -37,6 +41,73 @@ HISTORY_REF = [
 def default_spec(alphas=(0.9, 0.4), beta=0.3, gamma=0.8):
     return make_example_1(
         FractionalOrders(alphas, (1.0,) * len(alphas), beta, gamma))
+
+
+def loop_source_moment(spec, mesh, n, nx=4, nt=4):
+    """Reference source moments: the tensor Gauss-Legendre rule applied
+    cell by cell, with one source call per cell and time node."""
+    m, h = mesh.m, mesh.h
+    a, _ = spec.domain
+    t0, t1 = mesh.times[n - 1], mesh.times[n]
+    gx, wx = roots_legendre(nx)
+    gt, wt = roots_legendre(nt)
+    t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
+    t_weights = 0.5 * (t1 - t0) * wt
+    out = np.zeros(m - 1)
+    for k in range(1, m + 1):  # cell k spans [x_{k-1}, x_k]
+        lo, hi = a + (k - 1) * h, a + k * h
+        if k == 1:
+            cuts = _graded_panels(lo, hi, toward_lo=True)
+        elif k == m:
+            cuts = _graded_panels(lo, hi, toward_lo=False)
+        else:
+            cuts = np.array([lo, hi])
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        half = 0.5 * np.diff(cuts)
+        pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+        wts = (half[:, None] * wx[None, :]).ravel()
+        ft = np.zeros_like(pts)
+        for tq, twq in zip(t_nodes, t_weights):
+            ft += twq * np.asarray(spec.source(pts, tq), dtype=np.float64)
+        # phi_{k-1} falls and phi_k rises across cell k
+        if k - 1 >= 1:
+            out[k - 2] += np.dot(wts * ft, (hi - pts) / h)
+        if k <= m - 1:
+            out[k - 1] += np.dot(wts * ft, (pts - lo) / h)
+    return out
+
+
+def loop_rhs_vector(spec, mesh, n, states, mats):
+    """Reference right-hand side with the memory sum taken level by level
+    from the scalar history weights."""
+    orders = spec.orders
+    tau = float(mesh.taus[n - 1])
+    a0 = orders.alpha0
+    u_prev = states[n - 1]
+    c_prev = sum(c * tau ** (1.0 - a) / gamma_fn(3.0 - a)
+                 for a, c in zip(orders.alphas, orders.a_coeffs))
+    rhs = (source_moment(spec, mesh, n)
+           + c_prev * mats.mass.matvec(u_prev)
+           - spec.k1 * tau / 2.0 * mats.stiff_beta.matvec(u_prev)
+           - spec.k2 * tau / 2.0 * mats.stiff_gamma.matvec(u_prev))
+    acc = np.zeros_like(u_prev)
+    for k in range(1, n):
+        w = sum(c * float(history_weight(a, n, k, mesh))
+                for a, c in zip(orders.alphas, orders.a_coeffs))
+        acc += w * (states[k] - states[k - 1])
+    rhs -= mats.mass.matvec(acc)
+    return gamma_fn(3.0 - a0) * tau ** (a0 - 1.0) * rhs
+
+
+def graded_mesh(spec, m, n_steps):
+    """Time levels t_n = T (n/N)^2 on a uniform spatial grid."""
+    a, b = spec.domain
+    times = spec.horizon * (np.arange(n_steps + 1) / n_steps) ** 2
+    return Mesh(m=m, h=(b - a) / m, taus=np.diff(times), times=times)
+
+
+def rel_diff(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 class TestMassSymbol:
@@ -173,6 +244,34 @@ class TestSourceMoment:
         assert abs(finer[0] - want) < abs(got[0] - want)
 
 
+    @pytest.mark.parametrize("example", [1, 2])
+    @pytest.mark.parametrize("m", [4, 5, 16, 257])
+    @pytest.mark.parametrize("nx", [4, 8])
+    def test_matches_loop_oracle(self, example, m, nx):
+        if example == 1:
+            spec = default_spec()
+        else:
+            spec = make_example_2(
+                FractionalOrders((0.7, 0.5), (1.0, 1.0), 0.15, 0.95), 1.0, 2.0)
+        mesh = make_mesh(spec, m, TimePolicy.TAU_EQ_H)
+        for n in sorted({1, (mesh.n_steps + 1) // 2}):
+            got = source_moment(spec, mesh, n, nx=nx)
+            assert rel_diff(got, loop_source_moment(spec, mesh, n, nx=nx)) \
+                <= 1e-13
+
+    def test_rule_is_not_shared_across_domains(self):
+        # same m, different intervals: each mesh gets its own points
+        base = default_spec()
+        source = lambda x, t: np.exp(x) * (1.0 + t)  # noqa: E731
+        for domain in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (1.0, 2.0)):
+            spec = ProblemSpec(orders=base.orders, k1=1.0, k2=2.0,
+                               domain=domain, horizon=0.5, source=source,
+                               initial=lambda x: np.zeros_like(x))
+            mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+            got = source_moment(spec, mesh, 1)
+            assert rel_diff(got, loop_source_moment(spec, mesh, 1)) <= 1e-13
+
+
 class TestHistoryWeights:
     @pytest.mark.parametrize("alpha,tau,n,k,want", HISTORY_REF)
     def test_reference_values(self, alpha, tau, n, k, want):
@@ -191,6 +290,19 @@ class TestHistoryWeights:
             assert all(w > 0 for w in ws)
             # weights grow toward the current time level (kernel decay)
             assert all(a <= b for a, b in zip(ws, ws[1:]))
+
+    def test_array_levels_match_scalar_calls(self):
+        spec = default_spec()
+        mesh = graded_mesh(spec, 32, 40)
+        n = 30
+        k = np.arange(1, n)
+        want = [history_weight(0.7, n, int(j), mesh) for j in k]
+        # a weight is a four-term difference of powers: a one-ulp change
+        # in a power (array vs scalar pow) moves it by up to ~4e-13
+        np.testing.assert_allclose(history_weight(0.7, n, k, mesh), want,
+                                   rtol=1e-12, atol=0.0)
+        with pytest.raises(ValueError):
+            history_weight(0.7, n, np.arange(0, n), mesh)
 
     def test_index_guard(self):
         spec = default_spec()
@@ -237,3 +349,36 @@ class TestRhsVector:
         a = rhs_vector(spec, mesh, 1, history, mats)
         b = rhs_vector(spec, mesh, 1, history, mats, source_vec=sv)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("graded", [True, False])
+    def test_memory_term_matches_per_level_loop(self, graded):
+        spec = default_spec()
+        if graded:
+            mesh = graded_mesh(spec, 32, 64)
+        else:
+            mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H2)
+        rng = np.random.default_rng(7)
+        x = mesh.interior_nodes()
+        states = np.array([spec.exact(x, t) for t in mesh.times])
+        states *= 1.0 + 1e-3 * rng.standard_normal(states.shape)
+        history = TimeHistory(states[0])
+        for n in (2, 3, 17, mesh.n_steps // 2, mesh.n_steps):
+            while len(history) < n:
+                history.append(states[len(history)])
+            mats = step_matrix(spec, mesh, n)
+            got = rhs_vector(spec, mesh, n, history, mats)
+            want = loop_rhs_vector(spec, mesh, n, states, mats)
+            assert rel_diff(got, want) <= 1e-13
+
+    def test_history_is_one_array(self):
+        spec = default_spec()
+        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        history = TimeHistory.from_initial(spec, mesh)
+        u0 = history.states[0].copy()
+        for j in range(1, mesh.n_steps + 1):
+            history.append(np.full(mesh.m - 1, float(j)))
+        assert len(history) == mesh.n_steps + 1
+        assert history.states.shape == (mesh.n_steps + 1, mesh.m - 1)
+        assert np.array_equal(history.states[0], u0)
+        assert np.array_equal(history.states[1:, 0],
+                              np.arange(1.0, mesh.n_steps + 1))

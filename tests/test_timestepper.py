@@ -1,6 +1,8 @@
 """Time marching, the L2 error norm, and convergence tables."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +96,39 @@ class TestMarch:
         with pytest.raises(SolverFailure) as exc:
             march(spec, mesh, tol=1e-14, maxit=1, warm_start=False)
         assert exc.value.step == 1
+
+    def test_source_called_once_per_time_node(self):
+        # The spatial rule is built once per mesh: each step evaluates the
+        # source at its 4 time nodes over all points, never cell by cell.
+        base = make_example_1(orders())
+        calls = []
+
+        def counted(x, t):
+            calls.append(t)
+            return base.source(x, t)
+
+        spec = dataclasses.replace(base, source=counted)
+        mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
+        march(spec, mesh, tol=1e-12)
+        assert len(calls) == 4 * mesh.n_steps
+
+    def test_phase_timers_separate_rhs_from_solves(self):
+        base = make_example_1(orders())
+        pause = 0.01
+        calls = []
+
+        def slow(x, t):
+            calls.append(t)
+            time.sleep(pause)
+            return base.source(x, t)
+
+        spec = dataclasses.replace(base, source=slow)
+        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        res = march(spec, mesh, tol=1e-12)
+        slept = pause * len(calls)
+        assert res.rhs_seconds >= slept
+        assert res.solve_seconds < 0.5 * slept
+        assert res.setup_seconds < 0.5 * slept
 
 
 class TestL2Error:
