@@ -32,7 +32,8 @@ def jacobi_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
 
 
 def cf_jacobi_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
-                    omega: float = 1.0, order: str = "FCF") -> np.ndarray:
+                    omega: float = 1.0, order: str = "FCF",
+                    r: np.ndarray | None = None) -> np.ndarray:
     """Jacobi relaxation executed one point class at a time.
 
     'F' passes relax the fine-only points (0-based even positions), 'C'
@@ -40,18 +41,21 @@ def cf_jacobi_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
     updated residual.  The default "FCF" ordering damps the oscillatory
     error components far better than a simultaneous sweep on these
     matrices, whose scaled spectral radius can approach 2.  Cost is one
-    FFT matvec per pass.
+    matvec per pass, less one when the caller passes r = b - T x (for a
+    zero x, r = b).
     """
     t0 = T.symbol[0]
     if t0 <= 0:
         raise ValueError("Jacobi needs a positive diagonal")
     if not order or set(order) - {"F", "C"}:
         raise ValueError(f"order must be a nonempty string over 'F'/'C', got {order!r}")
-    x = np.asarray(x, dtype=np.float64).copy()
-    for grp in order:
-        r = b - T.matvec(x)
+    x = np.array(x, dtype=np.float64)
+    w = omega / t0
+    for k, grp in enumerate(order):
+        if k or r is None:
+            r = b - T.matvec(x)
         s = slice(0, None, 2) if grp == "F" else slice(1, None, 2)
-        x[s] += (omega / t0) * r[s]
+        x[s] += w * r[s]
     return x
 
 

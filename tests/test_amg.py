@@ -10,7 +10,7 @@ from mtfade import (AmgParams, FractionalOrders, SymToeplitz, TimePolicy,
 from mtfade.amg import AdaptiveSolver
 from mtfade.assembly import TimeHistory, rhs_vector
 from mtfade.camg_dense import DenseAmg
-from mtfade.solvers import dense_solve
+from mtfade.solvers import dense_solve, lu_nopivot, lu_solve_nopivot
 
 
 def model_matrix(m=512, alphas=(0.9, 0.4), beta=0.3, gamma=0.8,
@@ -19,6 +19,71 @@ def model_matrix(m=512, alphas=(0.9, 0.4), beta=0.3, gamma=0.8,
         FractionalOrders(alphas, (1.0,) * len(alphas), beta, gamma))
     mesh = make_mesh(spec, m, policy)
     return spec, mesh, step_matrix(spec, mesh, 1)
+
+
+def first_step_system(m):
+    spec, mesh, mats = model_matrix(m=m)
+    b = rhs_vector(spec, mesh, 1, TimeHistory.from_initial(spec, mesh), mats)
+    return mats.a_full, b
+
+
+# The V-cycle as first written, kept as the reference for the fast one:
+# a full residual before every smoothing pass, products with the zero
+# guess of the coarse levels, index-array transfers and a pivot-free
+# coarsest solve.
+
+def reference_interp(coarse, m_fine):
+    fine = np.empty(m_fine)
+    fine[1::2] = coarse
+    ext = np.concatenate(([0.0], coarse, [0.0]))
+    f_idx = np.arange(0, m_fine, 2)
+    j = f_idx // 2
+    fine[f_idx] = 0.5 * (ext[j] + ext[j + 1])
+    return fine
+
+
+def reference_restrict(fine, m_fine):
+    ext = np.concatenate((fine, [0.0, 0.0]))
+    j = np.arange(m_fine // 2)
+    return ext[2 * j + 1] + 0.5 * (ext[2 * j] + ext[2 * j + 2])
+
+
+def reference_sweep(T, x, b, omega, order):
+    x = np.array(x, dtype=np.float64)
+    for grp in order:
+        r = b - T.matvec(x)
+        s = slice(0, None, 2) if grp == "F" else slice(1, None, 2)
+        x[s] += (omega / T.symbol[0]) * r[s]
+    return x
+
+
+def reference_vcycle(h, b, x):
+    lu = lu_nopivot(h.coarsest_matrix.to_dense())
+    omega, order = h.params.omega, h.params.sweep_order
+    xs, bs = [], []
+    xk, bk = x, b
+    for lv in h.levels:
+        xk = reference_sweep(lv.matrix, xk, bk, omega, order)
+        r = bk - lv.matrix.matvec(xk)
+        xs.append(xk)
+        bs.append(bk)
+        bk = reference_restrict(r, lv.n_fine)
+        xk = np.zeros(lv.n_coarse)
+    xk = lu_solve_nopivot(lu, bk)
+    for lv, xf, bf in zip(reversed(h.levels), reversed(xs), reversed(bs)):
+        xk = xf + reference_interp(xk, lv.n_fine)
+        xk = reference_sweep(lv.matrix, xk, bf, omega, order)
+    return xk
+
+
+def reference_amg_solve(h, b, x, tol=1e-12, maxit=1000):
+    A = h.levels[0].matrix
+    bnorm = np.linalg.norm(b)
+    for it in range(maxit + 1):
+        if np.linalg.norm(b - A.matvec(x)) <= tol * bnorm:
+            return x, it
+        x = reference_vcycle(h, b, x)
+    raise AssertionError("reference solve did not converge")
 
 
 class TestSplitting:
@@ -47,6 +112,16 @@ class TestTransfers:
             lhs = interp_apply(xc, m) @ yf
             rhs = xc @ restrict_apply(yf, m)
             assert lhs == pytest.approx(rhs, rel=1e-14)
+
+    def test_same_arithmetic_as_index_arrays(self):
+        rng = np.random.default_rng(24)
+        for m in (1, 2, 3, 4, 7, 8, 33, 100, 255):
+            xc = rng.standard_normal(m // 2)
+            yf = rng.standard_normal(m)
+            assert np.array_equal(interp_apply(xc, m),
+                                  reference_interp(xc, m))
+            assert np.array_equal(restrict_apply(yf, m),
+                                  reference_restrict(yf, m))
 
     def test_shape_guards(self):
         with pytest.raises(ValueError):
@@ -99,6 +174,10 @@ class TestSetup:
         with pytest.raises(ValueError):
             setup(SymToeplitz(np.array([-1.0, 0.5, 0.1, 0.0])))
 
+    def test_rejects_singular_coarsest_matrix(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            setup(SymToeplitz(np.ones(4)))
+
 
 class TestVcycleSolve:
     def test_amg_matches_dense_solution(self):
@@ -134,6 +213,46 @@ class TestVcycleSolve:
         before = np.linalg.norm(e)
         e = vcycle(h, b, e)
         assert np.linalg.norm(e) < 0.2 * before
+
+    # 16 and 256 keep every level below the dense matvec cutoff; at 1024
+    # the finest level uses the FFT product.
+    @pytest.mark.parametrize("m", [16, 256, 1024])
+    def test_matches_reference_cycle(self, m):
+        A, _ = first_step_system(m)
+        h = setup(A)
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal(A.m)
+        b = rng.standard_normal(A.m)
+        want = reference_vcycle(h, b, x)
+        for r in (None, b - A.matvec(x)):
+            got = vcycle(h, b, x, r)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        x_ref, it_ref = reference_amg_solve(h, b, x)
+        got, rep = amg_solve(h, b, tol=1e-12, x0=x)
+        assert rep.converged and rep.iterations == it_ref
+        assert np.linalg.norm(got - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_product_count(self, monkeypatch):
+        # One iteration: the check, three products per CF-Jacobi sweep
+        # (two sweeps per level, the first pass of each pre-sweep reusing
+        # a known residual) and one residual before restriction.
+        A, b = first_step_system(256)
+        h = setup(A)
+        n_smooth = len(h.levels)
+        calls = []
+        matvec = SymToeplitz.matvec
+
+        def counted(self, x):
+            calls.append(self.m)
+            return matvec(self, x)
+
+        monkeypatch.setattr(SymToeplitz, "matvec", counted)
+        _, rep = amg_solve(h, b, tol=1e-12)
+        assert rep.converged and rep.iterations > 0
+        assert len(calls) == rep.iterations * (6 * n_smooth + 1) + 1
+        calls.clear()
+        vcycle(h, b, np.zeros(A.m))
+        assert len(calls) == 6 * n_smooth + 1
 
     def test_zero_rhs(self):
         _, _, mats = model_matrix(m=64)

@@ -73,6 +73,9 @@ class TestCfJacobi:
             s = slice(0, None, 2) if grp == "F" else slice(1, None, 2)
             want[s] += r[s] / d
         assert np.allclose(got, want, rtol=1e-13)
+        # a residual handed in replaces the first pass's product
+        r = b - T.matvec(x)
+        assert np.array_equal(cf_jacobi_sweep(T, x, b, r=r), got)
 
     def test_input_left_untouched(self):
         T = spd_toeplitz(10, seed=7)

@@ -35,6 +35,28 @@ def test_small_sizes_use_dense_path_same_result():
                        rtol=0, atol=1e-12 * m)
 
 
+def circulant_product(t, x):
+    """T @ x through a circulant embedding of length 2m, independent of
+    the class's own padding and caches."""
+    m = t.size
+    col = np.concatenate((t, [0.0], t[1:][::-1]))
+    return np.fft.irfft(np.fft.rfft(col) * np.fft.rfft(x, n=2 * m),
+                        n=2 * m)[:m]
+
+
+@pytest.mark.parametrize("m", [DENSE_MATVEC_CUTOFF, DENSE_MATVEC_CUTOFF + 1])
+def test_fft_and_dense_agree_at_the_cutoff(m):
+    T = SymToeplitz(random_symbol(m, seed=m))
+    x = np.random.default_rng(m).standard_normal(m)
+    got = T.matvec(x)
+    # the dense copy is built up to the cutoff and not above it
+    assert (T._dense is not None) == (m <= DENSE_MATVEC_CUTOFF)
+    scale = np.max(np.abs(got))
+    for want in (scipy.linalg.toeplitz(T.symbol) @ x,
+                 circulant_product(T.symbol, x)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 def test_row_sums_match_dense():
     T = SymToeplitz(random_symbol(100, seed=3))
     dense = scipy.linalg.toeplitz(T.symbol)
