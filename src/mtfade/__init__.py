@@ -9,12 +9,10 @@ from .toeplitz import SymToeplitz
 from .assembly import (StepMatrix, TimeHistory, history_weight, mass_symbol,
                        rhs_vector, source_moment, step_matrix,
                        stiffness_symbol)
-from .solvers import (SolveReport, cf_jacobi_sweep, cg_solve, dense_solve,
-                      jacobi_sweep)
-from .amg import (AdaptiveSolver, AmgHierarchy, AmgParams, adaptive_solve,
-                  amg_solve, cg_switch, galerkin_symbol, interp_apply,
-                  restrict_apply, setup, split_cf, two_level_solve,
-                  two_level_vcycle01, vcycle)
+from .solvers import SolveReport, cf_jacobi_sweep, cg_solve, dense_solve
+from .amg import (AdaptiveSolver, AmgHierarchy, AmgParams, amg_solve,
+                  cg_switch, galerkin_symbol, interp_apply, restrict_apply,
+                  setup, split_cf, two_level_solve, vcycle)
 from .camg_dense import DenseAmg
 from .analysis import (MatrixReport, SpectrumReport, beta0, class_conditions,
                        classify, kappa_ratio_table, spectrum,

@@ -6,14 +6,12 @@ convolution that keeps every coarse-level matrix symmetric Toeplitz.
 Setup is therefore O(M) work and storage, plus one LAPACK LU
 factorisation of the small coarsest matrix; each V(1,1)-cycle costs
 O(M log M) through the Toeplitz matvec.  Smoothing is Jacobi relaxation
-in CF ordering (see cf_jacobi_sweep); a per-level strength tolerance
-theta is recorded for diagnostics; with fixed half weights it does not
-alter the splitting.
+in CF ordering (see cf_jacobi_sweep).
 
-A cycle makes only the products it needs: amg_solve hands the true
-residual it has just checked to the cycle, whose first smoothing pass
-uses it, and every coarse level starts from a zero guess whose residual
-is its right-hand side.  One solver iteration on L smoothing levels
+A cycle makes only the products it needs: amg_solve's iteration loop
+(solvers.iterate) hands the true residual it has just checked to the
+cycle, whose first smoothing pass uses it, and every coarse level starts
+from a zero guess whose residual is its right-hand side.  One solver iteration on L smoothing levels
 therefore makes 6 L + 1 Toeplitz products (three per CF-Jacobi sweep,
 one residual before restriction, one check).  The coarsest system is
 solved with the LU factors computed at set-up.
@@ -25,7 +23,7 @@ switches to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,14 +32,14 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .assembly import StepMatrix
 from .problem import Mesh, ProblemSpec
-from .solvers import (SolveReport, cf_jacobi_sweep, cg_solve, jacobi_sweep,
-                      lu_nopivot, lu_solve_nopivot)
+from .camg_dense import direct_interp
+from .solvers import (cf_jacobi_sweep, cg_solve, iterate, lu_nopivot,
+                      lu_solve_nopivot)
 from .toeplitz import SymToeplitz
 
 
 @dataclass(frozen=True)
 class AmgParams:
-    epsilon0: float = 1e-8
     max_cdofs: int = 8
     max_levels: int = 25
     omega: float = 1.0
@@ -52,7 +50,6 @@ class AmgParams:
 @dataclass
 class AmgLevel:
     matrix: SymToeplitz
-    theta: float
     n_fine: int
     n_coarse: int
 
@@ -67,10 +64,6 @@ class AmgHierarchy:
     @property
     def n_levels(self):
         return len(self.levels) + 1  # + the coarsest dense level
-
-    @property
-    def thetas(self):
-        return [lv.theta for lv in self.levels]
 
     @property
     def stored_entries(self):
@@ -150,11 +143,8 @@ def setup(a0: SymToeplitz, params: AmgParams = AmgParams()) -> AmgHierarchy:
     levels: List[AmgLevel] = []
     mat = a0
     while mat.m > params.max_cdofs and len(levels) + 1 < params.max_levels:
-        t = mat.symbol
-        theta = (t[2] / t[1] + params.epsilon0) if mat.m >= 3 else float("nan")
-        coarse = SymToeplitz(galerkin_symbol(t))
-        levels.append(AmgLevel(matrix=mat, theta=theta,
-                               n_fine=mat.m, n_coarse=coarse.m))
+        coarse = SymToeplitz(galerkin_symbol(mat.symbol))
+        levels.append(AmgLevel(matrix=mat, n_fine=mat.m, n_coarse=coarse.m))
         mat = coarse
     lu, piv, info = dgetrf(mat.to_dense())
     if info > 0:
@@ -210,27 +200,13 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
               maxit: int = 1000, x0: Optional[np.ndarray] = None):
     """Iterate V(1,1)-cycles until the relative residual meets tol.
 
-    The true residual b - A x checked before each cycle is handed to the
-    cycle, so one iteration makes 6 L + 1 products on L smoothing levels.
-
-    A relative residual that is not finite (||b|| underflows to 0 while
-    b is nonzero) ends the solve unconverged.
+    Each step of iterate() is one cycle, handed the true residual
+    b - A x that iterate() has just checked, so one iteration makes
+    6 L + 1 products on L smoothing levels.
     """
     A = h.levels[0].matrix if h.levels else h.coarsest_matrix
-    b = np.asarray(b, dtype=np.float64)
-    if not np.any(b):
-        return np.zeros_like(b), SolveReport(0, 0.0, True, 0, "amg")
-    bnorm = np.linalg.norm(b)
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    for it in range(maxit + 1):
-        r = b - A.matvec(x)
-        relres = np.linalg.norm(r) / bnorm
-        if relres <= tol:
-            return x, SolveReport(it, relres, True, it * (2 * h.n_levels), "amg")
-        if it == maxit or not np.isfinite(relres):
-            break
-        x = vcycle(h, b, x, r)
-    return x, SolveReport(it, relres, False, it * (2 * h.n_levels), "amg")
+    return iterate(A, b, lambda x, r, budget: (vcycle(h, b, x, r), 1),
+                   tol, maxit, x0, "amg")
 
 
 def cg_switch(spec: ProblemSpec, tau: float, h: float,
@@ -275,14 +251,6 @@ class AdaptiveSolver:
         return x, rep
 
 
-def adaptive_solve(mats: StepMatrix, b: np.ndarray, mesh: Mesh,
-                   spec: ProblemSpec, tol: float = 1e-12,
-                   params: AmgParams = AmgParams(), maxit: int = 1000,
-                   x0: Optional[np.ndarray] = None):
-    """One-shot form of AdaptiveSolver.solve."""
-    return AdaptiveSolver(spec, mesh, mats, params).solve(b, tol, maxit, x0)
-
-
 class TwoLevelV01:
     """Two-level cycle with no pre- and one post-smoothing sweep.
 
@@ -293,10 +261,9 @@ class TwoLevelV01:
     """
 
     def __init__(self, A: SymToeplitz):
-        from .camg_dense import DenseAmg
         self.A = A
         self.dense = A.to_dense()
-        self.prolong = DenseAmg._direct_interp(self.dense)
+        self.prolong = direct_interp(self.dense)
         coarse = self.prolong.T @ (self.prolong.T @ self.dense.T).T
         self._lu = lu_nopivot(coarse)
         self._lower = np.tril(self.dense)
@@ -309,25 +276,10 @@ class TwoLevelV01:
             self._lower, b - self.dense @ x, lower=True)
 
 
-def two_level_vcycle01(A: SymToeplitz, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return TwoLevelV01(A).apply(b, x)
-
-
 def two_level_solve(A: SymToeplitz, b: np.ndarray, tol: float = 1e-8,
                     maxit: int = 1000, cyc: Optional[TwoLevelV01] = None):
     """Iterate the two-level V(0,1)-cycle to a relative residual."""
     if cyc is None:
         cyc = TwoLevelV01(A)
-    b = np.asarray(b, dtype=np.float64)
-    if not np.any(b):
-        return np.zeros_like(b), SolveReport(0, 0.0, True, 0, "two-level")
-    bnorm = np.linalg.norm(b)
-    x = np.zeros_like(b)
-    for it in range(maxit + 1):
-        relres = np.linalg.norm(b - A.matvec(x)) / bnorm
-        if relres <= tol:
-            return x, SolveReport(it, relres, True, it, "two-level")
-        if it == maxit or not np.isfinite(relres):
-            break
-        x = cyc.apply(b, x)
-    return x, SolveReport(it, relres, False, it, "two-level")
+    return iterate(A, b, lambda x, r, budget: (cyc.apply(b, x), 1),
+                   tol, maxit, None, "two-level")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,18 +84,13 @@ def stiffness_symbol(mu: float, m: int, h: float) -> SymToeplitz:
 
 @dataclass(frozen=True)
 class StepMatrix:
-    """The per-step coefficient matrix plus its Toeplitz components.
-
-    scale_record holds the scalar multipliers: one per temporal term for
-    the mass matrix and one per spatial stiffness matrix.
-    """
+    """The per-step coefficient matrix plus its Toeplitz components."""
 
     a_full: SymToeplitz
     mass: SymToeplitz
     stiff_beta: SymToeplitz
     stiff_gamma: SymToeplitz
     tau: float
-    scale_record: dict = field(default_factory=dict)
 
 
 def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
@@ -115,15 +110,8 @@ def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
     c_gamma = spec.k2 * g0 * tau ** a0 / 2.0
     symbol = (c_mass * mass.symbol + c_beta * stiff_b.symbol
               + c_gamma * stiff_g.symbol)
-    record = {
-        "mass_terms": tuple(c * g0 * tau ** (a0 - a) / gamma_fn(3.0 - a)
-                            for a, c in zip(orders.alphas, orders.a_coeffs)),
-        "beta": c_beta,
-        "gamma": c_gamma,
-    }
     return StepMatrix(a_full=SymToeplitz(symbol), mass=mass,
-                      stiff_beta=stiff_b, stiff_gamma=stiff_g,
-                      tau=tau, scale_record=record)
+                      stiff_beta=stiff_b, stiff_gamma=stiff_g, tau=tau)
 
 
 class TimeHistory:

@@ -238,7 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--solver", default=None,
                         choices=("cg", "icamg", "camg-dense-oracle"))
         sp.add_argument("--tol", type=float, default=1e-12)
-        sp.add_argument("--seed", type=int, default=0x5EED)
         sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     return p
 

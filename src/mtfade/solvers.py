@@ -1,7 +1,9 @@
-"""Smoothers, conjugate gradients, and the pivot-free dense solve."""
+"""The iteration driver, the CF-Jacobi smoother, conjugate gradients, and
+the pivot-free dense solve."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,48 +16,81 @@ class SolveReport:
     iterations: int
     final_relres: float
     converged: bool
-    work_estimate: int = 0
+    reason: str = ""  # "converged", "nonfinite", "maxit" or "breakdown"
     branch: str = ""
 
 
-def jacobi_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
-                 omega: float = 1.0) -> np.ndarray:
-    """One (damped) Jacobi sweep x + omega * D^-1 (b - T x).
+def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
+            x0: np.ndarray | None, branch: str = ""):
+    """Drive step(x, r, budget) -> (x, iterations) until tol is met.
 
-    The diagonal is constant (t0) by Toeplitz structure, so the sweep is
-    a matvec plus an axpy.
+    This is the one stopping rule of every solver.  Before each step the
+    true residual r = b - A @ x is computed, and the solve ends
+
+    * "converged" when ||r|| / ||b|| <= tol,
+    * "nonfinite" when that relative residual is not finite (as when
+      ||b|| underflows to 0 while b is nonzero),
+    * "maxit" when maxit iterations have run,
+    * "breakdown" when a step ran 0 iterations;
+
+    otherwise the step runs at most budget = maxit - (iterations so far)
+    iterations from x and r.  An all-zero b is solved by x = 0 at once.
+    The report, labelled with branch, carries the true relative residual,
+    so a claim of convergence is never based on anything else, and no
+    tol > 0 raises.
     """
-    t0 = T.symbol[0]
-    if t0 <= 0:
-        raise ValueError("Jacobi needs a positive diagonal")
-    return x + (omega / t0) * (b - T.matvec(x))
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    b = np.asarray(b, dtype=np.float64)
+    if not b.any():
+        return np.zeros_like(b), SolveReport(0, 0.0, True, "converged", branch)
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    it = 0
+    while True:
+        r = b - A @ x
+        relres = float(np.linalg.norm(r) / bnorm)
+        if relres <= tol:
+            reason = "converged"
+        elif not math.isfinite(relres):
+            reason = "nonfinite"
+        elif it >= maxit:
+            reason = "maxit"
+        else:
+            x, k = step(x, r, maxit - it)
+            if k:
+                it += k
+                continue
+            reason = "breakdown"
+        return x, SolveReport(it, relres, reason == "converged", reason, branch)
 
 
-def cf_jacobi_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
+def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
                     omega: float = 1.0, order: str = "FCF",
                     r: np.ndarray | None = None) -> np.ndarray:
     """Jacobi relaxation executed one point class at a time.
 
-    'F' passes relax the fine-only points (0-based even positions), 'C'
-    passes the coarse points (odd positions); each pass uses the freshly
-    updated residual.  The default "FCF" ordering damps the oscillatory
-    error components far better than a simultaneous sweep on these
-    matrices, whose scaled spectral radius can approach 2.  Cost is one
-    matvec per pass, less one when the caller passes r = b - T x (for a
-    zero x, r = b).
+    A is any operator with `@` and a positive diagonal() (a SymToeplitz,
+    whose diagonal is the scalar t0, or a dense array).  'F' passes relax
+    the fine-only points (0-based even positions), 'C' passes the coarse
+    points (odd positions); each pass uses the freshly updated residual.
+    The default "FCF" ordering damps the oscillatory error components far
+    better than a simultaneous sweep on these matrices, whose scaled
+    spectral radius can approach 2.  Cost is one product per pass, less
+    one when the caller passes r = b - A x (for a zero x, r = b).
     """
-    t0 = T.symbol[0]
-    if t0 <= 0:
+    d = A.diagonal()
+    if (d <= 0).any() if isinstance(d, np.ndarray) else d <= 0:
         raise ValueError("Jacobi needs a positive diagonal")
     if not order or set(order) - {"F", "C"}:
         raise ValueError(f"order must be a nonempty string over 'F'/'C', got {order!r}")
     x = np.array(x, dtype=np.float64)
-    w = omega / t0
+    w = omega / d
     for k, grp in enumerate(order):
         if k or r is None:
-            r = b - T.matvec(x)
+            r = b - A @ x
         s = slice(0, None, 2) if grp == "F" else slice(1, None, 2)
-        x[s] += w * r[s]
+        x[s] += (w * r)[s]
     return x
 
 
@@ -63,58 +98,35 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
              maxit: int = 1000, x0: np.ndarray | None = None):
     """Unpreconditioned CG on an SPD Toeplitz matrix.
 
-    The recurrence residual only proposes convergence.  Once its norm
-    drops to tol * ||b||, the true residual b - T x is recomputed, and
-    the solve is reported converged only if ||b - T x|| / ||b|| <= tol;
-    otherwise CG restarts from the true residual (p = b - T x).  A
-    search direction with p.Tp not positive and finite (as after an
-    underflow at the rounding floor) also triggers that restart; if it
-    happens again right after a restart, the iteration has broken down
-    and the report is non-converged.  Reaching maxit ends the solve as
-    well.  Every report carries the true relative residual in
-    final_relres, and no tol > 0 raises.
+    Each step of iterate() runs the CG recurrence from the true residual
+    (p = r) until the recurrence residual drops to tol * ||b||, a search
+    direction has p.Tp not positive and finite (as after an underflow at
+    the rounding floor), or the budget runs out.  The recurrence residual
+    therefore only proposes convergence: iterate() confirms it on
+    b - T x, and otherwise CG restarts from that true residual.  A step
+    that cannot take a single iteration is a breakdown.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    b = np.asarray(b, dtype=np.float64)
-    if not np.any(b):
-        return np.zeros_like(b), SolveReport(0, 0.0, True, 0, "cg")
     bnorm = np.linalg.norm(b)
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        r = b - T.matvec(x)
-    p = r.copy()
-    rr = float(r @ r)
-    fresh = True  # r is the true residual b - T x
-    it = 0
-    while True:
-        relres = float(np.sqrt(rr) / bnorm)
-        claimed = bool(relres <= tol)
-        if fresh and (claimed or it >= maxit):
-            return x, SolveReport(it, relres, claimed, it, "cg")
-        if not claimed and it < maxit:
-            Ap = T.matvec(p)
-            pAp = float(p @ Ap)
-            if np.isfinite(pAp) and pAp > 0.0:
-                alpha = rr / pAp
-                x = x + alpha * p
-                r = r - alpha * Ap
-                rr_new = float(r @ r)
-                p = r + (rr_new / rr) * p
-                rr = rr_new
-                fresh = False
-                it += 1
-                continue
-            if fresh:  # breakdown on the true residual itself
-                return x, SolveReport(it, relres, False, it, "cg")
-        # Proposed convergence, maxit or breakdown: restart from b - T x.
-        r = b - T.matvec(x)
+
+    def step(x, r, budget):
         p = r.copy()
         rr = float(r @ r)
-        fresh = True
+        for k in range(budget):
+            if k and math.sqrt(rr) / bnorm <= tol:
+                return x, k
+            Ap = T.matvec(p)
+            pAp = float(p @ Ap)
+            if not (math.isfinite(pAp) and pAp > 0.0):
+                return x, k
+            alpha = rr / pAp
+            x = x + alpha * p
+            r = r - alpha * Ap
+            rr_new = float(r @ r)
+            p = r + (rr_new / rr) * p
+            rr = rr_new
+        return x, budget
+
+    return iterate(T, b, step, tol, maxit, x0, "cg")
 
 
 def lu_nopivot(A: np.ndarray) -> np.ndarray:

@@ -93,8 +93,9 @@ class SymToeplitz:
         idx = np.arange(self.m)
         return p[idx] + p[self.m - 1 - idx] - p[0]
 
-    @property
-    def diag(self):
+    def diagonal(self):
+        """The main diagonal, which is the constant t0 (a scalar that
+        broadcasts where ndarray.diagonal() would give a vector)."""
         return self.symbol[0]
 
     def scaled(self, c):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mtfade import (AmgParams, FractionalOrders, SymToeplitz, TimePolicy,
-                    adaptive_solve, amg_solve, cg_switch, galerkin_symbol,
-                    interp_apply, make_example_1, make_mesh, restrict_apply,
-                    setup, split_cf, step_matrix, two_level_solve, vcycle)
+from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
+                    cg_solve, cg_switch, galerkin_symbol, interp_apply,
+                    make_example_1, make_mesh, restrict_apply, setup,
+                    split_cf, step_matrix, two_level_solve, vcycle)
 from mtfade.amg import AdaptiveSolver
 from mtfade.assembly import TimeHistory, rhs_vector
 from mtfade.camg_dense import DenseAmg
@@ -163,13 +163,6 @@ class TestSetup:
         assert h.stored_entries <= 3 * 512
         assert [lv.n_fine for lv in h.levels] == [511, 255, 127, 63, 31, 15]
 
-    def test_thetas_recorded(self):
-        _, _, mats = model_matrix(m=64)
-        h = setup(mats.a_full, AmgParams(epsilon0=1e-8))
-        t = mats.a_full.symbol
-        assert h.thetas[0] == pytest.approx(t[2] / t[1] + 1e-8, rel=1e-12)
-        assert len(h.thetas) == len(h.levels)
-
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
             setup(SymToeplitz(np.array([-1.0, 0.5, 0.1, 0.0])))
@@ -290,7 +283,7 @@ class TestAdaptiveBranch:
     def test_forced_branch_and_one_shot(self):
         spec, mesh, mats = model_matrix(m=128)
         b = np.ones(mats.a_full.m)
-        x_cg, rep_cg = adaptive_solve(mats, b, mesh, spec, tol=1e-12)
+        x_cg, rep_cg = AdaptiveSolver(spec, mesh, mats).solve(b, tol=1e-12)
         driver = AdaptiveSolver(spec, mesh, mats)
         x_f, rep_f = driver.solve(b, tol=1e-12, force="cg")
         assert rep_f.branch == "cg"
@@ -315,24 +308,38 @@ class TestTwoLevelBaseline:
         assert rep.iterations == 0 and np.all(x == 0.0)
 
 
-@pytest.mark.parametrize("solver", ["amg", "two-level", "camg-dense"])
+def solve_with(solver, A, b, tol=1e-12, x0=None):
+    """One of the four solvers that share the iteration driver."""
+    if solver == "cg":
+        return cg_solve(A, b, tol, x0=x0)
+    if solver == "amg":
+        return amg_solve(setup(A), b, tol, x0=x0)
+    if solver == "two-level":
+        return two_level_solve(A, b, tol)
+    return DenseAmg(A.to_dense()).solve(b, tol)
+
+
+@pytest.mark.parametrize("solver", ["amg", "two-level", "camg-dense", "cg"])
 def test_underflowing_rhs_norm_is_not_claimed(solver):
     # First-step system of example 1 at M = 64, b scaled by 1e-200: b is
-    # nonzero but ||b|| underflows to 0, so x = 0 solves nothing.
+    # nonzero but ||b|| underflows to 0, so x = 0 solves nothing and the
+    # relative residual is not finite, from a zero or a warm start.
     spec, mesh, mats = model_matrix(m=64)
     A = mats.a_full
     b = 1e-200 * rhs_vector(spec, mesh, 1,
                             TimeHistory.from_initial(spec, mesh), mats)
     assert np.any(b) and np.linalg.norm(b) == 0.0
-    with np.errstate(all="ignore"):
-        if solver == "amg":
-            x, rep = amg_solve(setup(A), b)
-        elif solver == "two-level":
-            x, rep = two_level_solve(A, b)
-        else:
-            x, rep = DenseAmg(A.to_dense()).solve(b)
-    assert not (rep.converged and not np.any(x))
-    if rep.converged:  # then x must solve the system rescaled to norm 1
-        s = 1.0 / np.max(np.abs(b))
-        r = s * b - A.matvec(s * x)
-        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(s * b)
+    starts = (None, np.ones(A.m)) if solver in ("amg", "cg") else (None,)
+    for x0 in starts:
+        with np.errstate(all="ignore"):
+            _, rep = solve_with(solver, A, b, x0=x0)
+        assert rep.converged is False and rep.reason == "nonfinite"
+        assert rep.iterations == 0
+
+
+@pytest.mark.parametrize("solver", ["cg", "amg", "two-level", "camg-dense"])
+def test_nonpositive_tol_raises(solver):
+    A, b = first_step_system(64)
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_with(solver, A, b, tol)

@@ -152,32 +152,37 @@ class TestStiffnessSymbol:
             stiffness_symbol(1.2, 16, 0.1)
 
 
+def closed_form_symbol(spec, mats):
+    """sum_i a_i G0 tau^(a0 - a_i) / G(3 - a_i) M + (G0 tau^a0 / 2)
+    (k1 S_beta + k2 S_gamma), with G0 = G(3 - a0)."""
+    orders, tau = spec.orders, mats.tau
+    a0 = orders.alphas[0]
+    g0 = gamma_fn(3.0 - a0)
+    c_mass = sum(c * g0 * tau ** (a0 - a) / gamma_fn(3.0 - a)
+                 for a, c in zip(orders.alphas, orders.a_coeffs))
+    half = g0 * tau ** a0 / 2.0
+    return (c_mass * mats.mass.symbol
+            + spec.k1 * half * mats.stiff_beta.symbol
+            + spec.k2 * half * mats.stiff_gamma.symbol)
+
+
 class TestStepMatrix:
     def test_symbol_is_recorded_combination(self):
         spec = default_spec()
         mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
         mats = step_matrix(spec, mesh, 1)
-        rec = mats.scale_record
-        want = (sum(rec["mass_terms"]) * mats.mass.symbol
-                + rec["beta"] * mats.stiff_beta.symbol
-                + rec["gamma"] * mats.stiff_gamma.symbol)
-        assert np.allclose(mats.a_full.symbol, want, rtol=1e-15)
+        assert np.allclose(mats.a_full.symbol, closed_form_symbol(spec, mats),
+                           rtol=1e-15)
         assert mats.tau == pytest.approx(mesh.taus[0])
 
     def test_scales_match_closed_form(self):
-        from scipy.special import gamma as gamma_fn
-        spec = default_spec()
-        mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
+        # example 2 with its free k1 and k2, tau = h^2
+        spec = make_example_2(
+            FractionalOrders((0.7, 0.4), (1.0, 1.0), 0.3, 0.85), 5.0, 30.0)
+        mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H2)
         mats = step_matrix(spec, mesh, 1)
-        tau, a0 = mats.tau, 0.9
-        g0 = gamma_fn(3.0 - a0)
-        assert mats.scale_record["beta"] == pytest.approx(
-            spec.k1 * g0 * tau ** a0 / 2.0, rel=1e-15)
-        assert mats.scale_record["gamma"] == pytest.approx(
-            spec.k2 * g0 * tau ** a0 / 2.0, rel=1e-15)
-        assert mats.scale_record["mass_terms"][0] == pytest.approx(1.0)
-        assert mats.scale_record["mass_terms"][1] == pytest.approx(
-            g0 * tau ** (0.9 - 0.4) / gamma_fn(3.0 - 0.4), rel=1e-15)
+        assert np.allclose(mats.a_full.symbol, closed_form_symbol(spec, mats),
+                           rtol=1e-15)
 
     def test_out_of_range_level(self):
         spec = default_spec()

@@ -141,6 +141,7 @@ class TestConfigAndErrors:
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("frobnicate = 7\n")
-        code, _ = run_cli(["--config", str(cfg), "convergence"], capsys)
-        assert code == 2
+        for line in ("frobnicate = 7\n", "seed = 7\n"):  # no seed is read
+            cfg.write_text(line)
+            code, _ = run_cli(["--config", str(cfg), "convergence"], capsys)
+            assert code == 2

@@ -1,12 +1,15 @@
-"""Relaxation sweeps, conjugate gradients, and the pivot-free LU."""
+"""The iteration driver, relaxation sweeps, conjugate gradients, and the
+pivot-free LU."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, cf_jacobi_sweep,
-                    cg_solve, dense_solve, jacobi_sweep, make_example_1,
-                    make_mesh, step_matrix)
+from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
+                    cf_jacobi_sweep, cg_solve, dense_solve, make_example_1,
+                    make_mesh, setup, step_matrix)
 from mtfade.assembly import TimeHistory, rhs_vector
 from mtfade.solvers import lu_nopivot, lu_solve_nopivot
 
@@ -31,33 +34,6 @@ def true_relres(T, x, b):
     return float(np.linalg.norm(b - T.matvec(x)) / np.linalg.norm(b))
 
 
-class TestJacobi:
-    def test_sweep_matches_formula(self):
-        T = spd_toeplitz(20, seed=1)
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(20)
-        b = rng.standard_normal(20)
-        got = jacobi_sweep(T, x, b, omega=0.7)
-        want = x + 0.7 / T.symbol[0] * (b - T.to_dense() @ x)
-        assert np.allclose(got, want, rtol=1e-14)
-
-    def test_damped_sweep_reduces_energy(self):
-        T = spd_toeplitz(64, seed=3)
-        rng = np.random.default_rng(4)
-        e = rng.standard_normal(64)
-        b = np.zeros(64)
-        before = e @ T.matvec(e)
-        for _ in range(3):
-            e = jacobi_sweep(T, e, b, omega=0.5)
-        after = e @ T.matvec(e)
-        assert after < before
-
-    def test_rejects_nonpositive_diagonal(self):
-        T = SymToeplitz(np.array([-1.0, 0.2, 0.1, 0.0]))
-        with pytest.raises(ValueError):
-            jacobi_sweep(T, np.zeros(4), np.ones(4))
-
-
 class TestCfJacobi:
     def test_matches_dense_reference(self):
         T = spd_toeplitz(30, seed=5)
@@ -76,6 +52,14 @@ class TestCfJacobi:
         # a residual handed in replaces the first pass's product
         r = b - T.matvec(x)
         assert np.array_equal(cf_jacobi_sweep(T, x, b, r=r), got)
+        # the dense matrix is an operator with a diagonal too
+        assert np.allclose(cf_jacobi_sweep(dense, x, b), got, rtol=1e-13)
+
+    def test_rejects_nonpositive_diagonal(self):
+        T = SymToeplitz(np.array([-1.0, 0.2, 0.1, 0.0]))
+        for A in (T, T.to_dense()):
+            with pytest.raises(ValueError):
+                cf_jacobi_sweep(A, np.zeros(4), np.ones(4))
 
     def test_input_left_untouched(self):
         T = spd_toeplitz(10, seed=7)
@@ -97,7 +81,7 @@ class TestCg:
         rng = np.random.default_rng(10)
         b = rng.standard_normal(200)
         x, rep = cg_solve(T, b, tol=1e-12)
-        assert rep.converged
+        assert rep.converged and rep.reason == "converged"
         assert np.linalg.norm(b - T.matvec(x)) <= 1e-11 * np.linalg.norm(b)
         want = scipy.linalg.solve(T.to_dense(), b)
         assert np.allclose(x, want, rtol=1e-8)
@@ -120,8 +104,17 @@ class TestCg:
         b = np.ones(128)
         _, rep = cg_solve(T, b, tol=1e-15, maxit=1)
         assert not rep.converged and rep.iterations == 1
+        assert rep.reason == "maxit"
         with pytest.raises(ValueError):
             cg_solve(T, b, tol=0.0)
+
+    def test_breakdown_is_reported(self):
+        # A negative diagonal gives p.Ap < 0 at the first step.
+        T = SymToeplitz(np.array([-4.0, 1.0, 0.5, 0.25]))
+        x, rep = cg_solve(T, np.ones(4))
+        assert rep.converged is False and rep.reason == "breakdown"
+        assert rep.iterations == 0 and not np.any(x)
+        assert rep.final_relres == 1.0
 
     @pytest.mark.parametrize("m", [16, 64, 128])
     def test_rounding_floor_is_reported_not_claimed(self, m):
@@ -142,12 +135,55 @@ class TestCg:
             assert true_relres(T, x, b) <= 1e-12
 
     def test_underflowing_rhs_norm_is_not_claimed(self):
-        # ||b|| underflows to 0 although b does not; x = 0 solves nothing.
+        # ||b|| underflows to 0 although b does not; x = 0 solves nothing,
+        # and a warm start must stop at once rather than iterate until
+        # r.r underflows as well.
         T = spd_toeplitz(32, seed=18)
         b = np.full(32, 1e-200)
+        for x0 in (None, np.ones(32)):
+            with np.errstate(all="ignore"):
+                _, rep = cg_solve(T, b, x0=x0)
+            assert rep.converged is False and rep.reason == "nonfinite"
+            assert rep.iterations == 0
+
+
+@st.composite
+def dominant_symbol(draw):
+    """A random strictly diagonally dominant symbol, so the matrix is SPD."""
+    m = draw(st.integers(2, 255))
+    seed = draw(st.integers(0, 2**32 - 1))
+    t = np.random.default_rng(seed).uniform(-1.0, 1.0, m)
+    t[0] = 2.0 * np.abs(t[1:]).sum() + draw(st.floats(1e-3, 10.0))
+    return t
+
+
+class TestStoppingProperty:
+    """For any tol > 0: no exception, converged only when the recomputed
+    true relres meets tol, and final_relres is that recomputed value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=dominant_symbol(), scale=st.integers(-300, 300),
+           tol=st.floats(1e-300, 1e-2), warm=st.booleans(),
+           solver=st.sampled_from(["cg", "amg"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_converged_means_true_relres_meets_tol(self, t, scale, tol, warm,
+                                                   solver, seed):
+        T = SymToeplitz(t)
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(T.m) * 10.0 ** scale
+        x0 = rng.standard_normal(T.m) if warm else None
         with np.errstate(all="ignore"):
-            _, rep = cg_solve(T, b)
-        assert rep.converged is False
+            if solver == "cg":
+                x, rep = cg_solve(T, b, tol=tol, maxit=300, x0=x0)
+            else:
+                x, rep = amg_solve(setup(T), b, tol=tol, maxit=30, x0=x0)
+            relres = float(np.linalg.norm(b - T.matvec(x)) / np.linalg.norm(b))
+        assert rep.reason in ("converged", "nonfinite", "maxit", "breakdown")
+        assert rep.converged == (rep.reason == "converged")
+        if rep.converged:
+            assert relres <= tol
+        assert rep.final_relres == relres or (np.isnan(relres)
+                                              and np.isnan(rep.final_relres))
 
 
 class TestLu:
