@@ -1,24 +1,26 @@
 """Adaptive AMG on symmetric Toeplitz matrices.
 
-The hierarchy uses a stride-2 C/F splitting, half-weight interpolation
-(every nonzero transfer weight is 1/2), and a closed-form Galerkin
-convolution that keeps every coarse-level matrix symmetric Toeplitz.
-Setup is therefore O(M) work and storage, plus one LAPACK LU
-factorisation of the small coarsest matrix; each V(1,1)-cycle costs
-O(M log M) through the Toeplitz matvec.  Smoothing is Jacobi relaxation
-in CF ordering (see cf_jacobi_sweep).
+This is the paper's algorithm, and it has no settings.  The hierarchy
+uses a stride-2 C/F splitting, half-weight interpolation (every nonzero
+transfer weight is 1/2), and a closed-form Galerkin convolution that
+keeps every coarse-level matrix symmetric Toeplitz; it coarsens until at
+most COARSEST_MAX = 8 unknowns remain.  Setup is therefore O(M) work and
+storage, plus one LAPACK LU factorisation of the small coarsest matrix;
+each V(1,1)-cycle costs O(M log M) through the Toeplitz matvec.
+Smoothing is one CF-Jacobi sweep with weight 1 (see cf_jacobi_sweep).
 
 A cycle makes only the products it needs: amg_solve's iteration loop
 (solvers.iterate) hands the true residual it has just checked to the
 cycle, whose first smoothing pass uses it, and every coarse level starts
-from a zero guess whose residual is its right-hand side.  One solver iteration on L smoothing levels
-therefore makes 6 L + 1 Toeplitz products (three per CF-Jacobi sweep,
-one residual before restriction, one check).  The coarsest system is
-solved with the LU factors computed at set-up.
+from a zero guess whose residual is its right-hand side.  One solver
+iteration on L smoothing levels therefore makes 6 L + 1 Toeplitz
+products (three per CF-Jacobi sweep, one residual before restriction,
+one check).  The coarsest system is solved with the LU factors computed
+at set-up.
 
-When the condition number of the step matrix is O(1) (small tau^alpha0
-relative to h^{2 gamma}), plain CG is cheaper and the adaptive driver
-switches to it.
+When tau^alpha0 h^(-2 gamma) <= 1 the condition number of the step
+matrix is O(1), plain CG is cheaper, and the adaptive driver switches
+to it.
 """
 
 from __future__ import annotations
@@ -33,55 +35,24 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .assembly import StepMatrix
 from .problem import Mesh, ProblemSpec
 from .camg_dense import direct_interp
-from .solvers import (cf_jacobi_sweep, cg_solve, iterate, lu_nopivot,
-                      lu_solve_nopivot)
+from .solvers import (COARSEST_MAX, cf_jacobi_sweep, cg_solve, iterate,
+                      lu_nopivot, lu_solve_nopivot)
 from .toeplitz import SymToeplitz
-
-
-@dataclass(frozen=True)
-class AmgParams:
-    max_cdofs: int = 8
-    max_levels: int = 25
-    omega: float = 1.0
-    sweep_order: str = "FCF"
-    switch_constant: float = 1.0
-
-
-@dataclass
-class AmgLevel:
-    matrix: SymToeplitz
-    n_fine: int
-    n_coarse: int
 
 
 @dataclass
 class AmgHierarchy:
-    levels: List[AmgLevel]
-    coarsest_matrix: SymToeplitz
+    matrices: List[SymToeplitz]  # finest first; the last one is eliminated
     coarsest_lu: Tuple[np.ndarray, np.ndarray]  # LAPACK getrf (lu, piv)
-    params: AmgParams
 
     @property
     def n_levels(self):
-        return len(self.levels) + 1  # + the coarsest dense level
+        return len(self.matrices)
 
     @property
     def stored_entries(self):
         """Symbol entries held across all levels (O(M) storage claim)."""
-        return sum(lv.matrix.m for lv in self.levels) + self.coarsest_matrix.m
-
-
-def split_cf(m_fine: int):
-    """Stride-2 splitting: even 1-based positions are C-points.
-
-    Returns 0-based (c_indices, f_indices).  Every F-point has a
-    C-neighbour at distance 1 except possibly the two boundary F-points,
-    which keep a single neighbour.
-    """
-    if m_fine < 2:
-        raise ValueError("need at least 2 unknowns to split")
-    idx = np.arange(m_fine)
-    return idx[1::2], idx[0::2]
+        return sum(A.m for A in self.matrices)
 
 
 def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
@@ -136,21 +107,19 @@ def galerkin_symbol(fine_symbol: np.ndarray) -> np.ndarray:
     return s
 
 
-def setup(a0: SymToeplitz, params: AmgParams = AmgParams()) -> AmgHierarchy:
-    """Coarsen repeatedly until the matrix is small enough to eliminate."""
+def setup(a0: SymToeplitz) -> AmgHierarchy:
+    """Coarsen until at most COARSEST_MAX unknowns remain, then factor
+    that matrix."""
     if a0.symbol[0] <= 0:
         raise ValueError("matrix diagonal must be positive")
-    levels: List[AmgLevel] = []
-    mat = a0
-    while mat.m > params.max_cdofs and len(levels) + 1 < params.max_levels:
-        coarse = SymToeplitz(galerkin_symbol(mat.symbol))
-        levels.append(AmgLevel(matrix=mat, n_fine=mat.m, n_coarse=coarse.m))
-        mat = coarse
-    lu, piv, info = dgetrf(mat.to_dense())
+    matrices = [a0]
+    while matrices[-1].m > COARSEST_MAX:
+        matrices.append(SymToeplitz(galerkin_symbol(matrices[-1].symbol)))
+    lu, piv, info = dgetrf(matrices[-1].to_dense())
     if info > 0:
-        raise np.linalg.LinAlgError(f"coarsest matrix is singular (m={mat.m})")
-    return AmgHierarchy(levels=levels, coarsest_matrix=mat,
-                        coarsest_lu=(lu, piv), params=params)
+        raise np.linalg.LinAlgError(
+            f"coarsest matrix is singular (m={matrices[-1].m})")
+    return AmgHierarchy(matrices=matrices, coarsest_lu=(lu, piv))
 
 
 def coarse_solve(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
@@ -162,37 +131,34 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
            r: Optional[np.ndarray] = None) -> np.ndarray:
     """One V(1,1)-cycle: CF-Jacobi pre-smooth, coarse correction, post-smooth.
 
-    r, when given, is the finest-level residual b - A x the caller has
-    already computed; the first smoothing pass uses it instead of a
-    product.  Coarse levels start from a zero guess, whose residual is
-    the restricted right-hand side itself, so they make no product with
-    it either: a cycle on L smoothing levels makes 6 L products, 6 L + 1
-    without r.  The coarsest system is solved with the LU factors
-    computed at set-up.
+    Every level but the last is smoothed; the last is solved with the LU
+    factors computed at set-up, so a hierarchy of one level is a direct
+    solve.  r, when given, is the finest-level residual b - A x the
+    caller has already computed; the first smoothing pass uses it instead
+    of a product.  Coarse levels start from a zero guess, whose residual
+    is the restricted right-hand side itself, so they make no product
+    with it either: a cycle on L smoothing levels makes 6 L products,
+    6 L + 1 without r.
     """
     b = np.asarray(b, dtype=np.float64)
-    if not h.levels:  # finest level already small: direct solve
-        if b.shape != (h.coarsest_matrix.m,):
-            raise ValueError("right-hand side does not match the finest level")
-        return coarse_solve(h, b)
-    if b.shape != (h.levels[0].n_fine,):
+    if b.shape != (h.matrices[0].m,):
         raise ValueError("right-hand side does not match the finest level")
-    omega, order = h.params.omega, h.params.sweep_order
+    smoothed = h.matrices[:-1]
     xs, bs = [], []
     xk = np.asarray(x, dtype=np.float64)
     bk = b
-    for lv in h.levels:
-        xk = cf_jacobi_sweep(lv.matrix, xk, bk, omega, order, r)
-        r = bk - lv.matrix.matvec(xk)
+    for A in smoothed:
+        xk = cf_jacobi_sweep(A, xk, bk, r)
+        r = bk - A.matvec(xk)
         xs.append(xk)
         bs.append(bk)
-        bk = restrict_apply(r, lv.n_fine)
-        xk = np.zeros(lv.n_coarse)
+        bk = restrict_apply(r, A.m)
+        xk = np.zeros(bk.size)
         r = bk  # residual of the zero guess
     xk = coarse_solve(h, bk)
-    for lv, xf, bf in zip(reversed(h.levels), reversed(xs), reversed(bs)):
-        xk = xf + interp_apply(xk, lv.n_fine)
-        xk = cf_jacobi_sweep(lv.matrix, xk, bf, omega, order)
+    for A, xf, bf in zip(reversed(smoothed), reversed(xs), reversed(bs)):
+        xk = xf + interp_apply(xk, A.m)
+        xk = cf_jacobi_sweep(A, xk, bf)
     return xk
 
 
@@ -204,16 +170,16 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
     b - A x that iterate() has just checked, so one iteration makes
     6 L + 1 products on L smoothing levels.
     """
-    A = h.levels[0].matrix if h.levels else h.coarsest_matrix
-    return iterate(A, b, lambda x, r, budget: (vcycle(h, b, x, r), 1),
+    return iterate(h.matrices[0], b,
+                   lambda b, x, r, budget: (vcycle(h, b, x, r), 1),
                    tol, maxit, x0, "amg")
 
 
-def cg_switch(spec: ProblemSpec, tau: float, h: float,
-              switch_constant: float = 1.0) -> bool:
-    """True when tau^alpha0 * h^(-2 gamma) is small enough for plain CG."""
+def cg_switch(spec: ProblemSpec, tau: float, h: float) -> bool:
+    """True when tau^alpha0 * h^(-2 gamma) <= 1, where the step matrix is
+    well enough conditioned for plain CG."""
     orders = spec.orders
-    return tau ** orders.alpha0 * h ** (-2.0 * orders.gamma) <= switch_constant
+    return tau ** orders.alpha0 * h ** (-2.0 * orders.gamma) <= 1.0
 
 
 class AdaptiveSolver:
@@ -223,19 +189,17 @@ class AdaptiveSolver:
     shared by every time level, so setup runs once.
     """
 
-    def __init__(self, spec: ProblemSpec, mesh: Mesh, mats: StepMatrix,
-                 params: AmgParams = AmgParams()):
+    def __init__(self, spec: ProblemSpec, mesh: Mesh, mats: StepMatrix):
         self.spec = spec
         self.mesh = mesh
         self.mats = mats
-        self.params = params
-        self.use_cg = cg_switch(spec, mats.tau, mesh.h, params.switch_constant)
+        self.use_cg = cg_switch(spec, mats.tau, mesh.h)
         self._hierarchy: Optional[AmgHierarchy] = None
 
     @property
     def hierarchy(self) -> AmgHierarchy:
         if self._hierarchy is None:
-            self._hierarchy = setup(self.mats.a_full, self.params)
+            self._hierarchy = setup(self.mats.a_full)
         return self._hierarchy
 
     def solve(self, b: np.ndarray, tol: float = 1e-12, maxit: int = 1000,
@@ -277,9 +241,8 @@ class TwoLevelV01:
 
 
 def two_level_solve(A: SymToeplitz, b: np.ndarray, tol: float = 1e-8,
-                    maxit: int = 1000, cyc: Optional[TwoLevelV01] = None):
+                    maxit: int = 1000):
     """Iterate the two-level V(0,1)-cycle to a relative residual."""
-    if cyc is None:
-        cyc = TwoLevelV01(A)
-    return iterate(A, b, lambda x, r, budget: (cyc.apply(b, x), 1),
+    cyc = TwoLevelV01(A)
+    return iterate(A, b, lambda b, x, r, budget: (cyc.apply(b, x), 1),
                    tol, maxit, None, "two-level")

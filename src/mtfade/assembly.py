@@ -256,8 +256,7 @@ def history_weight(alpha: float, n: int, k, mesh: Mesh):
 
 
 def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
-               history: TimeHistory, mats: StepMatrix,
-               source_vec: np.ndarray | None = None) -> np.ndarray:
+               history: TimeHistory, mats: StepMatrix) -> np.ndarray:
     """Assemble the scaled right-hand side for time level n.
 
     history must hold exactly n states U^0 .. U^{n-1}.  All products use
@@ -271,14 +270,12 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
     tau = float(mesh.taus[n - 1])
     a0 = orders.alpha0
     g0 = gamma_fn(3.0 - a0)
-    if source_vec is None:
-        source_vec = source_moment(spec, mesh, n)
 
     states = history.states
     u_prev = states[n - 1]
     c_mass_prev = sum(c * tau ** (1.0 - a) / gamma_fn(3.0 - a)
                       for a, c in zip(orders.alphas, orders.a_coeffs))
-    rhs = (source_vec
+    rhs = (source_moment(spec, mesh, n)
            + c_mass_prev * mats.mass.matvec(u_prev)
            - spec.k1 * tau / 2.0 * mats.stiff_beta.matvec(u_prev)
            - spec.k2 * tau / 2.0 * mats.stiff_gamma.matvec(u_prev))

@@ -9,13 +9,11 @@ runs and as a test oracle only; keep M modest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 import numpy as np
 import scipy.sparse as sp
 
-from .solvers import cf_jacobi_sweep, iterate, lu_nopivot, lu_solve_nopivot
+from .solvers import (COARSEST_MAX, cf_jacobi_sweep, iterate, lu_nopivot,
+                      lu_solve_nopivot)
 
 _DENSE_ORACLE_CAP = 4096
 
@@ -47,47 +45,37 @@ def direct_interp(A: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, mc))
 
 
-@dataclass
-class DenseLevel:
-    matrix: np.ndarray
-    prolong: sp.csr_matrix
-
-
 class DenseAmg:
-    """Classical AMG hierarchy on dense matrices (stride-2 splitting)."""
+    """Classical AMG hierarchy on dense matrices (stride-2 splitting),
+    coarsened like the Toeplitz one until at most COARSEST_MAX unknowns
+    remain."""
 
-    def __init__(self, A: np.ndarray, max_cdofs: int = 8,
-                 max_levels: int = 25, omega: float = 1.0,
-                 sweep_order: str = "FCF"):
+    def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=np.float64)
         if A.shape[0] > _DENSE_ORACLE_CAP:
             raise ValueError(
                 f"dense oracle capped at {_DENSE_ORACLE_CAP} unknowns")
-        self.omega = omega
-        self.sweep_order = sweep_order
-        self.levels: List[DenseLevel] = []
-        mat = A
-        while mat.shape[0] > max_cdofs and len(self.levels) + 1 < max_levels:
+        self.matrices = [A]  # finest first; the last one is eliminated
+        self.prolongs = []  # one per smoothed level
+        while self.matrices[-1].shape[0] > COARSEST_MAX:
+            mat = self.matrices[-1]
             P = direct_interp(mat)
-            self.levels.append(DenseLevel(matrix=mat, prolong=P))
-            mat = P.T @ (P.T @ mat.T).T  # P^T A P with sparse P, O(M^2)
-        self.coarsest = mat
-        self._lu = lu_nopivot(mat)
+            self.prolongs.append(P)
+            self.matrices.append(P.T @ (P.T @ mat.T).T)  # P^T A P, O(M^2)
+        self._lu = lu_nopivot(self.matrices[-1])
 
     def _vcycle(self, level: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if level == len(self.levels):
+        if level == len(self.prolongs):
             return lu_solve_nopivot(self._lu, b)
-        lv = self.levels[level]
-        A = lv.matrix
-        x = cf_jacobi_sweep(A, x, b, self.omega, self.sweep_order)
+        A, P = self.matrices[level], self.prolongs[level]
+        x = cf_jacobi_sweep(A, x, b)
         r = b - A @ x
-        xc = self._vcycle(level + 1, lv.prolong.T @ r,
-                          np.zeros(lv.prolong.shape[1]))
-        x = x + lv.prolong @ xc
-        return cf_jacobi_sweep(A, x, b, self.omega, self.sweep_order)
+        xc = self._vcycle(level + 1, P.T @ r, np.zeros(P.shape[1]))
+        x = x + P @ xc
+        return cf_jacobi_sweep(A, x, b)
 
     def solve(self, b: np.ndarray, tol: float = 1e-12, maxit: int = 1000):
         """Iterate V(1,1)-cycles (one per step of iterate()) to tol."""
-        A = self.levels[0].matrix if self.levels else self.coarsest
-        return iterate(A, b, lambda x, r, budget: (self._vcycle(0, b, x), 1),
+        return iterate(self.matrices[0], b,
+                       lambda b, x, r, budget: (self._vcycle(0, b, x), 1),
                        tol, maxit, None, "camg-dense")

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .amg import AdaptiveSolver, AmgParams
+from .amg import AdaptiveSolver
 from .analysis import kappa_ratio_table
 from .assembly import TimeHistory, rhs_vector, step_matrix
 from .camg_dense import DenseAmg
@@ -139,7 +139,7 @@ def _bench_cell(spec, mesh, solver: str, tol: float):
     t0 = time.perf_counter()
     mats = step_matrix(spec, mesh, 1)
     if solver == "icamg":
-        driver = AdaptiveSolver(spec, mesh, mats, AmgParams())
+        driver = AdaptiveSolver(spec, mesh, mats)
         if not driver.use_cg:
             driver.hierarchy
     elif solver == "camg-dense-oracle":

@@ -10,6 +10,13 @@ import numpy as np
 
 from .toeplitz import SymToeplitz
 
+# The paper's multigrid, which has no settings: both hierarchies coarsen
+# until at most COARSEST_MAX unknowns remain and solve that level
+# directly, and smooth with one CF-Jacobi sweep (F, C, F passes) before
+# and after each coarse correction.
+COARSEST_MAX = 8
+_FCF = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
+
 
 @dataclass
 class SolveReport:
@@ -22,30 +29,36 @@ class SolveReport:
 
 def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
             x0: np.ndarray | None, branch: str = ""):
-    """Drive step(x, r, budget) -> (x, iterations) until tol is met.
+    """Drive step(b, x, r, budget) -> (x, iterations) until tol is met.
 
-    This is the one stopping rule of every solver.  Before each step the
-    true residual r = b - A @ x is computed, and the solve ends
+    This is the one stopping rule of every solver.  b and x0 are first
+    scaled by 2^-e, where e is the frexp exponent of max|b|; the scaling
+    is exact in the normal range, so iterates are unchanged, while ||b||
+    and ||r|| can no longer underflow to 0 for a tiny b.  Before each
+    step the true residual r = b - A @ x of the scaled system is
+    computed, and the solve ends
 
     * "converged" when ||r|| / ||b|| <= tol,
-    * "nonfinite" when that relative residual is not finite (as when
-      ||b|| underflows to 0 while b is nonzero),
+    * "nonfinite" when that relative residual is not finite,
     * "maxit" when maxit iterations have run,
     * "breakdown" when a step ran 0 iterations;
 
     otherwise the step runs at most budget = maxit - (iterations so far)
-    iterations from x and r.  An all-zero b is solved by x = 0 at once.
-    The report, labelled with branch, carries the true relative residual,
-    so a claim of convergence is never based on anything else, and no
-    tol > 0 raises.
+    iterations from the scaled b, x and r.  x is scaled back on return.
+    An all-zero b is solved by x = 0 at once.  The report, labelled with
+    branch, carries the true relative residual, so a claim of
+    convergence is never based on anything else, and no tol > 0 raises.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     b = np.asarray(b, dtype=np.float64)
     if not b.any():
         return np.zeros_like(b), SolveReport(0, 0.0, True, "converged", branch)
+    e = int(np.frexp(max(b.max(), -b.min()))[1])  # of max|b|, no temporary
+    b = np.ldexp(b, -e)
     bnorm = np.linalg.norm(b)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros_like(b) if x0 is None else np.ldexp(
+        np.asarray(x0, dtype=np.float64), -e)
     it = 0
     while True:
         r = b - A @ x
@@ -57,39 +70,40 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
         elif it >= maxit:
             reason = "maxit"
         else:
-            x, k = step(x, r, maxit - it)
+            x, k = step(b, x, r, maxit - it)
             if k:
                 it += k
                 continue
             reason = "breakdown"
-        return x, SolveReport(it, relres, reason == "converged", reason, branch)
+        # x is this loop's own array, never the caller's x0, so it is
+        # scaled back in place rather than copied once more.
+        np.ldexp(x, e, out=x)
+        return x, SolveReport(it, relres, reason == "converged", reason,
+                              branch)
 
 
 def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
-                    omega: float = 1.0, order: str = "FCF",
                     r: np.ndarray | None = None) -> np.ndarray:
-    """Jacobi relaxation executed one point class at a time.
+    """One CF-Jacobi sweep: Jacobi relaxation (weight 1) of the F-points,
+    then the C-points, then the F-points again.
 
     A is any operator with `@` and a positive diagonal() (a SymToeplitz,
-    whose diagonal is the scalar t0, or a dense array).  'F' passes relax
-    the fine-only points (0-based even positions), 'C' passes the coarse
-    points (odd positions); each pass uses the freshly updated residual.
-    The default "FCF" ordering damps the oscillatory error components far
-    better than a simultaneous sweep on these matrices, whose scaled
-    spectral radius can approach 2.  Cost is one product per pass, less
-    one when the caller passes r = b - A x (for a zero x, r = b).
+    whose diagonal is the scalar t0, or a dense array).  F-points are the
+    0-based even positions, C-points the odd ones; each pass uses the
+    freshly updated residual.  This ordering damps the oscillatory error
+    components far better than a simultaneous sweep on these matrices,
+    whose scaled spectral radius can approach 2.  Cost is one product per
+    pass, less one when the caller passes r = b - A x (for a zero x,
+    r = b).
     """
     d = A.diagonal()
     if (d <= 0).any() if isinstance(d, np.ndarray) else d <= 0:
         raise ValueError("Jacobi needs a positive diagonal")
-    if not order or set(order) - {"F", "C"}:
-        raise ValueError(f"order must be a nonempty string over 'F'/'C', got {order!r}")
     x = np.array(x, dtype=np.float64)
-    w = omega / d
-    for k, grp in enumerate(order):
+    w = 1.0 / d
+    for k, s in enumerate(_FCF):
         if k or r is None:
             r = b - A @ x
-        s = slice(0, None, 2) if grp == "F" else slice(1, None, 2)
         x[s] += (w * r)[s]
     return x
 
@@ -106,9 +120,8 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
     b - T x, and otherwise CG restarts from that true residual.  A step
     that cannot take a single iteration is a breakdown.
     """
-    bnorm = np.linalg.norm(b)
-
-    def step(x, r, budget):
+    def step(b, x, r, budget):
+        bnorm = np.linalg.norm(b)
         p = r.copy()
         rr = float(r @ r)
         for k in range(budget):

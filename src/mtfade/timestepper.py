@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.special import roots_legendre
 
-from .amg import AdaptiveSolver, AmgParams
+from .amg import AdaptiveSolver
 from .assembly import TimeHistory, rhs_vector, step_matrix
 from .problem import Mesh, ProblemSpec, TimePolicy, make_mesh
 
@@ -41,20 +41,19 @@ class RunResult:
         return sum(r.iterations for r in self.per_step_reports)
 
 
-def _step_solver(spec, mesh, n, params, force):
+def _step_solver(spec, mesh, n, force):
     """The step matrix of level n and its solver, with the hierarchy
     built up front when the solves will use it."""
     mats = step_matrix(spec, mesh, n)
-    solver = AdaptiveSolver(spec, mesh, mats, params)
+    solver = AdaptiveSolver(spec, mesh, mats)
     if (force or ("cg" if solver.use_cg else "amg")) == "amg":
         solver.hierarchy
     return solver
 
 
 def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
-          params: AmgParams = AmgParams(), warm_start: bool = True,
-          force: Optional[str] = None, maxit: int = 1000,
-          keep_history: bool = False) -> RunResult:
+          warm_start: bool = True, force: Optional[str] = None,
+          maxit: int = 1000, keep_history: bool = False) -> RunResult:
     """March the scheme over all time steps.
 
     The initial state interpolates the initial data at the interior
@@ -65,7 +64,7 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
     """
     clock = time.perf_counter
     t0 = clock()
-    solver = _step_solver(spec, mesh, 1, params, force)
+    solver = _step_solver(spec, mesh, 1, force)
     setup_seconds = clock() - t0
     rhs_seconds = solve_seconds = 0.0
 
@@ -75,7 +74,7 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
     for n in range(1, mesh.n_steps + 1):
         t0 = clock()
         if n > 1 and not uniform:
-            solver = _step_solver(spec, mesh, n, params, force)
+            solver = _step_solver(spec, mesh, n, force)
         t1 = clock()
         b = rhs_vector(spec, mesh, n, history, solver.mats)
         t2 = clock()
@@ -127,7 +126,6 @@ def l2_error(state: np.ndarray, spec: ProblemSpec, mesh: Mesh,
 def convergence_table(spec: ProblemSpec, policy: TimePolicy,
                       sizes: Sequence[int], tol: float = 1e-12,
                       tau_const: Optional[float] = None,
-                      params: AmgParams = AmgParams(),
                       force: Optional[str] = None):
     """Error and rate rows over a sequence of doubling mesh sizes.
 
@@ -142,7 +140,7 @@ def convergence_table(spec: ProblemSpec, policy: TimePolicy,
     prev = None
     for m in sizes:
         mesh = make_mesh(spec, m, policy, tau_const)
-        res = march(spec, mesh, tol=tol, params=params, force=force)
+        res = march(spec, mesh, tol=tol, force=force)
         err = res.l2_error
         rate_h = rate_steps = None
         if prev is not None:

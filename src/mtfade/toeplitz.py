@@ -34,12 +34,11 @@ class SymToeplitz:
         self.symbol = symbol
         self.m = symbol.size
         self.shape = (self.m, self.m)
-        # Lazy state: spectrum of the circulant embedding, prefix sums,
-        # dense copy for small m.  All write-once, so concurrent readers
-        # at worst duplicate work.
+        # Lazy state: spectrum of the circulant embedding, dense copy for
+        # small m.  Both write-once, so concurrent readers at worst
+        # duplicate work.
         self._spectrum = None
         self._pad = 0
-        self._prefix = None
         self._dense = None
 
     def _embed_spectrum(self):
@@ -76,20 +75,9 @@ class SymToeplitz:
             self._dense = scipy.linalg.toeplitz(self.symbol)
         return self._dense
 
-    def row_sum(self, i):
-        """Exact sum of row i, O(1) after a one-time prefix-sum pass."""
-        if not 0 <= i < self.m:
-            raise IndexError(f"row index {i} out of range for m={self.m}")
-        if self._prefix is None:
-            self._prefix = np.cumsum(self.symbol)
-        p = self._prefix
-        return p[i] + p[self.m - 1 - i] - p[0]
-
     def row_sums(self):
-        """All row sums as a vector."""
-        if self._prefix is None:
-            self._prefix = np.cumsum(self.symbol)
-        p = self._prefix
+        """All row sums as a vector, from one prefix-sum pass."""
+        p = np.cumsum(self.symbol)
         idx = np.arange(self.m)
         return p[idx] + p[self.m - 1 - idx] - p[0]
 
@@ -98,14 +86,5 @@ class SymToeplitz:
         broadcasts where ndarray.diagonal() would give a vector)."""
         return self.symbol[0]
 
-    def scaled(self, c):
-        return SymToeplitz(c * self.symbol)
-
     def __repr__(self):
         return f"SymToeplitz(m={self.m}, t0={self.symbol[0]:.6g})"
-
-
-def identity_symbol(m):
-    t = np.zeros(m)
-    t[0] = 1.0
-    return SymToeplitz(t)

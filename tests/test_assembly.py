@@ -345,16 +345,6 @@ class TestRhsVector:
             - spec.k2 * tau / 2.0 * mats.stiff_gamma.matvec(u0))
         assert np.allclose(got, want, rtol=1e-14)
 
-    def test_precomputed_source_is_honored(self):
-        spec = default_spec()
-        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
-        mats = step_matrix(spec, mesh, 1)
-        history = TimeHistory.from_initial(spec, mesh)
-        sv = source_moment(spec, mesh, 1)
-        a = rhs_vector(spec, mesh, 1, history, mats)
-        b = rhs_vector(spec, mesh, 1, history, mats, source_vec=sv)
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("graded", [True, False])
     def test_memory_term_matches_per_level_loop(self, graded):
         spec = default_spec()

@@ -34,6 +34,14 @@ def true_relres(T, x, b):
     return float(np.linalg.norm(b - T.matvec(x)) / np.linalg.norm(b))
 
 
+def scale_free_relres(T, x, b):
+    """true_relres after scaling b and x by the same power of two to
+    max|b| in [1/2, 1), so that no norm underflows or overflows for a
+    b of any size."""
+    e = np.frexp(np.max(np.abs(b)))[1]
+    return true_relres(T, np.ldexp(x, -e), np.ldexp(b, -e))
+
+
 class TestCfJacobi:
     def test_matches_dense_reference(self):
         T = spd_toeplitz(30, seed=5)
@@ -42,7 +50,7 @@ class TestCfJacobi:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(30)
         b = rng.standard_normal(30)
-        got = cf_jacobi_sweep(T, x, b, omega=1.0, order="FCF")
+        got = cf_jacobi_sweep(T, x, b)
         want = x.copy()
         for grp in "FCF":
             r = b - dense @ want
@@ -66,13 +74,6 @@ class TestCfJacobi:
         x = np.ones(10)
         cf_jacobi_sweep(T, x, np.zeros(10))
         assert np.array_equal(x, np.ones(10))
-
-    def test_rejects_bad_order(self):
-        T = spd_toeplitz(10, seed=8)
-        with pytest.raises(ValueError):
-            cf_jacobi_sweep(T, np.zeros(10), np.ones(10), order="")
-        with pytest.raises(ValueError):
-            cf_jacobi_sweep(T, np.zeros(10), np.ones(10), order="FXF")
 
 
 class TestCg:
@@ -135,16 +136,20 @@ class TestCg:
             assert true_relres(T, x, b) <= 1e-12
 
     def test_underflowing_rhs_norm_is_not_claimed(self):
-        # ||b|| underflows to 0 although b does not; x = 0 solves nothing,
-        # and a warm start must stop at once rather than iterate until
-        # r.r underflows as well.
+        # ||b|| underflows to 0 although b does not.  The solve is of the
+        # scaled system, so a claim of convergence must hold there, and a
+        # warm start must not raise.
         T = spd_toeplitz(32, seed=18)
         b = np.full(32, 1e-200)
         for x0 in (None, np.ones(32)):
             with np.errstate(all="ignore"):
-                _, rep = cg_solve(T, b, x0=x0)
-            assert rep.converged is False and rep.reason == "nonfinite"
-            assert rep.iterations == 0
+                x, rep = cg_solve(T, b, x0=x0)
+                relres = scale_free_relres(T, x, b)
+            assert rep.converged == (rep.reason == "converged")
+            if rep.converged:
+                assert relres <= 1e-12
+            if x0 is None:
+                assert rep.converged
 
 
 @st.composite
@@ -158,8 +163,9 @@ def dominant_symbol(draw):
 
 
 class TestStoppingProperty:
-    """For any tol > 0: no exception, converged only when the recomputed
-    true relres meets tol, and final_relres is that recomputed value."""
+    """For any tol > 0: no exception, converged only when the true relres,
+    recomputed free of scale, meets tol, and final_relres is that
+    recomputed value."""
 
     @settings(max_examples=40, deadline=None)
     @given(t=dominant_symbol(), scale=st.integers(-300, 300),
@@ -177,7 +183,7 @@ class TestStoppingProperty:
                 x, rep = cg_solve(T, b, tol=tol, maxit=300, x0=x0)
             else:
                 x, rep = amg_solve(setup(T), b, tol=tol, maxit=30, x0=x0)
-            relres = float(np.linalg.norm(b - T.matvec(x)) / np.linalg.norm(b))
+            relres = scale_free_relres(T, x, b)
         assert rep.reason in ("converged", "nonfinite", "maxit", "breakdown")
         assert rep.converged == (rep.reason == "converged")
         if rep.converged:

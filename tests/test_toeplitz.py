@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from mtfade import SymToeplitz
-from mtfade.toeplitz import DENSE_MATVEC_CUTOFF, identity_symbol
+from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
 
 def random_symbol(m, seed):
@@ -61,15 +61,6 @@ def test_row_sums_match_dense():
     T = SymToeplitz(random_symbol(100, seed=3))
     dense = scipy.linalg.toeplitz(T.symbol)
     assert np.allclose(T.row_sums(), dense.sum(axis=1), rtol=1e-13, atol=0)
-    assert T.row_sum(0) == pytest.approx(dense[0].sum(), rel=1e-13)
-    assert T.row_sum(57) == pytest.approx(dense[57].sum(), rel=1e-13)
-
-
-def test_scaled_and_identity():
-    T = SymToeplitz(random_symbol(12, seed=5))
-    assert np.allclose(T.scaled(2.5).symbol, 2.5 * T.symbol)
-    eye = identity_symbol(6)
-    assert np.allclose(eye.to_dense(), np.eye(6))
 
 
 def test_matvec_is_deterministic_and_cached():
