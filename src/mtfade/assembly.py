@@ -84,12 +84,13 @@ def stiffness_symbol(mu: float, m: int, h: float) -> SymToeplitz:
 
 @dataclass(frozen=True)
 class StepMatrix:
-    """The per-step coefficient matrix plus its Toeplitz components."""
+    """The per-step coefficient matrix A = c_mass M + c_beta S_beta +
+    c_gamma S_gamma, with the mass matrix M and the scalar c_mass that
+    the right-hand side also needs."""
 
     a_full: SymToeplitz
     mass: SymToeplitz
-    stiff_beta: SymToeplitz
-    stiff_gamma: SymToeplitz
+    c_mass: float
     tau: float
 
 
@@ -110,8 +111,8 @@ def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
     c_gamma = spec.k2 * g0 * tau ** a0 / 2.0
     symbol = (c_mass * mass.symbol + c_beta * stiff_b.symbol
               + c_gamma * stiff_g.symbol)
-    return StepMatrix(a_full=SymToeplitz(symbol), mass=mass,
-                      stiff_beta=stiff_b, stiff_gamma=stiff_g, tau=tau)
+    return StepMatrix(a_full=SymToeplitz(symbol), mass=mass, c_mass=c_mass,
+                      tau=tau)
 
 
 class TimeHistory:
@@ -215,20 +216,21 @@ def _space_rule(a: float, h: float, m: int, nx: int):
 
 
 def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
-                  nx: int = 4, nt: int = 4) -> np.ndarray:
+                  nx: int = 4) -> np.ndarray:
     """Moments of the source against each hat function over one time slab.
 
     Entry l is the integral of f * phi_l over (x_{l-1}, x_{l+1}) x
-    (t_{n-1}, t_n), by tensor Gauss-Legendre quadrature.  The spatial
-    rule is built once per (a, h, m, nx); each call makes nt vectorised
-    source calls over all its points and one sparse product.
+    (t_{n-1}, t_n), by tensor Gauss-Legendre quadrature with nx points
+    per panel in space and 4 nodes in time.  The spatial rule is built
+    once per (a, h, m, nx); each call makes 4 vectorised source calls
+    over all its points and one sparse product.
     """
     if not 1 <= n <= mesh.n_steps:
         raise ValueError(f"time level {n} outside 1..{mesh.n_steps}")
     a, _ = spec.domain
     pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m, nx)
     t0, t1 = mesh.times[n - 1], mesh.times[n]
-    gt, wt = _gauss_legendre(nt)
+    gt, wt = _gauss_legendre(4)
     t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
     t_weights = 0.5 * (t1 - t0) * wt
     ft = np.zeros(pts.size)
@@ -259,33 +261,31 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
                history: TimeHistory, mats: StepMatrix) -> np.ndarray:
     """Assemble the scaled right-hand side for time level n.
 
-    history must hold exactly n states U^0 .. U^{n-1}.  All products use
-    the FFT Toeplitz matvec.  The memory sum over k = 1..n-1 of
-    w_k (U^k - U^{k-1}) is one product of the differenced weight vector
-    with the stacked history, collapsed into a single mass-matrix product.
+    history must hold exactly n states U^0 .. U^{n-1}, and mats is the
+    step matrix A for this level's time step.  With s = Gamma(3 - alpha0)
+    tau^(alpha0 - 1) and the memory sum mem = sum_k w_k (U^k - U^{k-1}),
+
+        F^n = s F_src + M (2 c_mass U^{n-1} - s mem) - A U^{n-1},
+
+    since s (c' M - k1 tau/2 S_beta - k2 tau/2 S_gamma) = 2 c_mass M - A
+    (s c' is c_mass and s k tau/2 are the stiffness coefficients of A).
     """
     if len(history) != n:
         raise ValueError(f"history holds {len(history)} states, expected {n}")
+    if abs(mats.tau - mesh.taus[n - 1]) > 1e-14 * mats.tau:
+        raise ValueError(f"step matrix tau {mats.tau} is not that of level {n}")
     orders = spec.orders
-    tau = float(mesh.taus[n - 1])
     a0 = orders.alpha0
-    g0 = gamma_fn(3.0 - a0)
+    s = gamma_fn(3.0 - a0) * mats.tau ** (a0 - 1.0)
 
     states = history.states
     u_prev = states[n - 1]
-    c_mass_prev = sum(c * tau ** (1.0 - a) / gamma_fn(3.0 - a)
-                      for a, c in zip(orders.alphas, orders.a_coeffs))
-    rhs = (source_moment(spec, mesh, n)
-           + c_mass_prev * mats.mass.matvec(u_prev)
-           - spec.k1 * tau / 2.0 * mats.stiff_beta.matvec(u_prev)
-           - spec.k2 * tau / 2.0 * mats.stiff_gamma.matvec(u_prev))
-
+    v = 2.0 * mats.c_mass * u_prev
     if n > 1:
         k = np.arange(1, n)
         w = sum(c * history_weight(a, n, k, mesh)
                 for a, c in zip(orders.alphas, orders.a_coeffs))
-        # sum_k w_k (U^k - U^{k-1}) = sum_j (w_j - w_{j+1}) U^j, w_0 = w_n = 0
-        acc = -np.diff(w, prepend=0.0, append=0.0) @ states
-        rhs -= mats.mass.matvec(acc)
-
-    return g0 * tau ** (a0 - 1.0) * rhs
+        # -mem, as mem = sum_j (w_j - w_{j+1}) U^j with w_0 = w_n = 0
+        v += s * (np.diff(w, prepend=0.0, append=0.0) @ states)
+    return (s * source_moment(spec, mesh, n) + mats.mass.matvec(v)
+            - mats.a_full.matvec(u_prev))

@@ -13,6 +13,7 @@ significant digits in scientific notation.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -86,9 +87,13 @@ def build_problem(args) -> ProblemSpec:
     return make_example_2(orders, args.k1, args.k2)
 
 
-def _writer(out: Optional[str]):
-    fh = open(out, "w", newline="") if out else sys.stdout
-    return fh, csv.writer(fh)
+@contextlib.contextmanager
+def _csv_out(out: Optional[str]):
+    """A CSV writer on the file out (closed also if the command raises),
+    or on stdout."""
+    with (open(out, "w", newline="") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        yield csv.writer(fh)
 
 
 def cmd_convergence(args) -> int:
@@ -101,14 +106,12 @@ def cmd_convergence(args) -> int:
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    fh, w = _writer(args.out)
-    w.writerow(["M", "N", "h", "tau", "l2_error", "rate_h", "rate_paper"])
-    for r in rows:
-        w.writerow([r["M"], r["N"], _fmt(r["h"]), _fmt(r["tau"]),
-                    _fmt(r["l2_error"]), _fmt(r["rate_h"]),
-                    _fmt(r["rate_steps"])])
-    if fh is not sys.stdout:
-        fh.close()
+    with _csv_out(args.out) as w:
+        w.writerow(["M", "N", "h", "tau", "l2_error", "rate_h", "rate_paper"])
+        for r in rows:
+            w.writerow([r["M"], r["N"], _fmt(r["h"]), _fmt(r["tau"]),
+                        _fmt(r["l2_error"]), _fmt(r["rate_h"]),
+                        _fmt(r["rate_steps"])])
     return 0
 
 
@@ -124,13 +127,11 @@ def cmd_condest(args) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    fh, w = _writer(args.out)
-    w.writerow(["M", "lambda_min", "lambda_max", "kappa", "ratio"])
-    for r in rows:
-        w.writerow([r["M"], _fmt(r["lambda_min"]), _fmt(r["lambda_max"]),
-                    _fmt(r["kappa"]), _fmt(r["ratio"])])
-    if fh is not sys.stdout:
-        fh.close()
+    with _csv_out(args.out) as w:
+        w.writerow(["M", "lambda_min", "lambda_max", "kappa", "ratio"])
+        for r in rows:
+            w.writerow([r["M"], _fmt(r["lambda_min"]), _fmt(r["lambda_max"]),
+                        _fmt(r["kappa"]), _fmt(r["ratio"])])
     return 0
 
 
@@ -163,20 +164,20 @@ def cmd_bench(args) -> int:
     spec = build_problem(args)
     policy = TimePolicy(args.policy)
     solvers = [args.solver] if args.solver else ["cg", "camg-dense-oracle", "icamg"]
-    fh, w = _writer(args.out)
-    w.writerow(["M", "solver", "branch", "iterations", "converged",
-                "final_relres", "setup_seconds", "solve_seconds"])
-    for m in args.sizes:
-        mesh = make_mesh(spec, m, policy, args.tau_const)
-        for solver in solvers:
-            if solver == "camg-dense-oracle" and m > 4096:
-                continue
-            rep, setup_s, solve_s = _bench_cell(spec, mesh, solver, args.tol)
-            w.writerow([m, solver, rep.branch, rep.iterations,
-                        "yes" if rep.converged else "non-converged",
-                        _fmt(rep.final_relres), _fmt(setup_s), _fmt(solve_s)])
-    if fh is not sys.stdout:
-        fh.close()
+    with _csv_out(args.out) as w:
+        w.writerow(["M", "solver", "branch", "iterations", "converged",
+                    "final_relres", "setup_seconds", "solve_seconds"])
+        for m in args.sizes:
+            mesh = make_mesh(spec, m, policy, args.tau_const)
+            for solver in solvers:
+                if solver == "camg-dense-oracle" and m > 4096:
+                    continue
+                rep, setup_s, solve_s = _bench_cell(spec, mesh, solver,
+                                                    args.tol)
+                w.writerow([m, solver, rep.branch, rep.iterations,
+                            "yes" if rep.converged else "non-converged",
+                            _fmt(rep.final_relres), _fmt(setup_s),
+                            _fmt(solve_s)])
     return 0
 
 
@@ -196,18 +197,17 @@ def cmd_solve(args) -> int:
     a, _ = spec.domain
     xs = mesh.interior_nodes(a)
     t_final = float(mesh.times[-1])
-    fh, w = _writer(args.out)
-    if spec.exact is not None:
-        w.writerow(["x", "u_h", "u_exact", "abs_err"])
-        ue = np.asarray(spec.exact(xs, t_final), dtype=np.float64)
-        for x, uh, uex in zip(xs, res.final_state, ue):
-            w.writerow([_fmt(x), _fmt(uh), _fmt(uex), _fmt(abs(uh - uex))])
-    else:
-        w.writerow(["x", "u_h"])
-        for x, uh in zip(xs, res.final_state):
-            w.writerow([_fmt(x), _fmt(uh)])
-    if fh is not sys.stdout:
-        fh.close()
+    with _csv_out(args.out) as w:
+        if spec.exact is not None:
+            w.writerow(["x", "u_h", "u_exact", "abs_err"])
+            ue = np.asarray(spec.exact(xs, t_final), dtype=np.float64)
+            for x, uh, uex in zip(xs, res.final_state, ue):
+                w.writerow([_fmt(x), _fmt(uh), _fmt(uex),
+                            _fmt(abs(uh - uex))])
+        else:
+            w.writerow(["x", "u_h"])
+            for x, uh in zip(xs, res.final_state):
+                w.writerow([_fmt(x), _fmt(uh)])
     return 0
 
 

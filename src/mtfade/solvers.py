@@ -113,19 +113,22 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
     """Unpreconditioned CG on an SPD Toeplitz matrix.
 
     Each step of iterate() runs the CG recurrence from the true residual
-    (p = r) until the recurrence residual drops to tol * ||b||, a search
-    direction has p.Tp not positive and finite (as after an underflow at
-    the rounding floor), or the budget runs out.  The recurrence residual
-    therefore only proposes convergence: iterate() confirms it on
-    b - T x, and otherwise CG restarts from that true residual.  A step
-    that cannot take a single iteration is a breakdown.
+    (p = r) until the recurrence residual drops to tol * ||b|| or to eps
+    times that true residual (below which the true residual, from a far
+    warm start, no longer follows it), a search direction has p.Tp not
+    positive and finite (as after an underflow at the rounding floor),
+    or the budget runs out.  The recurrence residual therefore only
+    proposes convergence: iterate() confirms it on b - T x, and
+    otherwise CG restarts from that true residual.  A step that cannot
+    take a single iteration is a breakdown.
     """
     def step(b, x, r, budget):
         bnorm = np.linalg.norm(b)
         p = r.copy()
         rr = float(r @ r)
+        floor = np.finfo(np.float64).eps ** 2 * rr
         for k in range(budget):
-            if k and math.sqrt(rr) / bnorm <= tol:
+            if k and (math.sqrt(rr) / bnorm <= tol or rr <= floor):
                 return x, k
             Ap = T.matvec(p)
             pAp = float(p @ Ap)

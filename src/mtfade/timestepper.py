@@ -97,21 +97,19 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
                      history=history if keep_history else None)
 
 
-def l2_error(state: np.ndarray, spec: ProblemSpec, mesh: Mesh,
-             t: Optional[float] = None, n_gauss: int = 3) -> float:
-    """L2 norm of (exact - piecewise-linear interpolant) at time t.
+def l2_error(state: np.ndarray, spec: ProblemSpec, mesh: Mesh) -> float:
+    """L2 norm of (exact - piecewise-linear interpolant) at the final time.
 
-    Elementwise Gauss quadrature; the interpolant vanishes at both
-    boundary nodes.
+    Elementwise 3-point Gauss quadrature; the interpolant vanishes at
+    both boundary nodes.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution")
-    if t is None:
-        t = float(mesh.times[-1])
+    t = float(mesh.times[-1])
     a, _ = spec.domain
     h, m = mesh.h, mesh.m
     nodal = np.concatenate(([0.0], np.asarray(state, dtype=np.float64), [0.0]))
-    g, w = roots_legendre(n_gauss)
+    g, w = roots_legendre(3)
     acc = 0.0
     left = a + h * np.arange(m)
     for gq, wq in zip(g, w):

@@ -54,8 +54,9 @@ class TestClassify:
             assert rep.row_sums_positive
 
     def test_row_sum_bounds_for_diffusion_block(self):
-        _, mesh, mats = model(64)
-        rep = classify(mats.stiff_gamma, mu=0.8, h=mesh.h)
+        _, mesh, _ = model(64)
+        rep = classify(stiffness_symbol(0.8, mesh.m, mesh.h), mu=0.8,
+                       h=mesh.h)
         assert rep.m_matrix
         assert rep.row_sum_bounds_hold is True
 
@@ -138,8 +139,3 @@ class TestTwoLevelContraction:
             _, _, mats = model(256, alphas, beta, gamma)
             rho = two_level_contraction(mats.a_full)
             assert 0.0 < rho < cap
-
-    def test_requires_enough_trials(self):
-        _, _, mats = model(64)
-        with pytest.raises(ValueError):
-            two_level_contraction(mats.a_full, trials=3)

@@ -8,12 +8,13 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
-from mtfade import (FractionalOrders, Mesh, TimePolicy, TimeHistory,
-                    history_weight, make_example_1, make_example_2, make_mesh,
-                    mass_symbol, rhs_vector, source_moment, step_matrix,
-                    stiffness_symbol)
+from mtfade import (FractionalOrders, Mesh, SymToeplitz, TimePolicy,
+                    TimeHistory, history_weight, make_example_1,
+                    make_example_2, make_mesh, mass_symbol, rhs_vector,
+                    source_moment, step_matrix, stiffness_symbol)
 from mtfade.assembly import _graded_panels
 from mtfade.problem import ProblemSpec
+from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
 # 40-digit reference values for stiffness-symbol entries
 # (mu, h, lag, value, rel_tol).  The lag-50 entry cancels ~7 digits in
@@ -43,14 +44,14 @@ def default_spec(alphas=(0.9, 0.4), beta=0.3, gamma=0.8):
         FractionalOrders(alphas, (1.0,) * len(alphas), beta, gamma))
 
 
-def loop_source_moment(spec, mesh, n, nx=4, nt=4):
+def loop_source_moment(spec, mesh, n, nx=4):
     """Reference source moments: the tensor Gauss-Legendre rule applied
     cell by cell, with one source call per cell and time node."""
     m, h = mesh.m, mesh.h
     a, _ = spec.domain
     t0, t1 = mesh.times[n - 1], mesh.times[n]
     gx, wx = roots_legendre(nx)
-    gt, wt = roots_legendre(nt)
+    gt, wt = roots_legendre(4)
     t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
     t_weights = 0.5 * (t1 - t0) * wt
     out = np.zeros(m - 1)
@@ -77,26 +78,62 @@ def loop_source_moment(spec, mesh, n, nx=4, nt=4):
     return out
 
 
-def loop_rhs_vector(spec, mesh, n, states, mats):
-    """Reference right-hand side with the memory sum taken level by level
-    from the scalar history weights."""
+def loop_rhs_vector(spec, mesh, n, states):
+    """Reference right-hand side in the scheme's three-product form: the
+    mass and both stiffness matrices, built from their symbols, on
+    U^{n-1}, and the memory sum taken level by level from the scalar
+    history weights."""
     orders = spec.orders
     tau = float(mesh.taus[n - 1])
     a0 = orders.alpha0
+    mass = mass_symbol(mesh.m, mesh.h)
     u_prev = states[n - 1]
     c_prev = sum(c * tau ** (1.0 - a) / gamma_fn(3.0 - a)
                  for a, c in zip(orders.alphas, orders.a_coeffs))
     rhs = (source_moment(spec, mesh, n)
-           + c_prev * mats.mass.matvec(u_prev)
-           - spec.k1 * tau / 2.0 * mats.stiff_beta.matvec(u_prev)
-           - spec.k2 * tau / 2.0 * mats.stiff_gamma.matvec(u_prev))
+           + c_prev * mass.matvec(u_prev)
+           - spec.k1 * tau / 2.0
+           * stiffness_symbol(orders.beta, mesh.m, mesh.h).matvec(u_prev)
+           - spec.k2 * tau / 2.0
+           * stiffness_symbol(orders.gamma, mesh.m, mesh.h).matvec(u_prev))
     acc = np.zeros_like(u_prev)
     for k in range(1, n):
         w = sum(c * float(history_weight(a, n, k, mesh))
                 for a, c in zip(orders.alphas, orders.a_coeffs))
         acc += w * (states[k] - states[k - 1])
-    rhs -= mats.mass.matvec(acc)
+    rhs -= mass.matvec(acc)
     return gamma_fn(3.0 - a0) * tau ** (a0 - 1.0) * rhs
+
+
+def longdouble_rhs_vector(spec, mesh, n, states):
+    """The three-product form of loop_rhs_vector with dense products and
+    every sum in np.longdouble, from the same float64 symbols, source
+    moments and history weights."""
+    ld = np.longdouble
+    orders = spec.orders
+    tau = float(mesh.taus[n - 1])
+    a0 = orders.alpha0
+    i = np.arange(mesh.m - 1)
+    lag = np.abs(np.subtract.outer(i, i))
+
+    def product(T, x):
+        return T.symbol.astype(ld)[lag] @ x
+
+    states = states[:n].astype(ld)
+    u_prev = states[n - 1]
+    c_prev = sum(c * tau ** (1.0 - a) / gamma_fn(3.0 - a)
+                 for a, c in zip(orders.alphas, orders.a_coeffs))
+    w = sum(c * history_weight(a, n, np.arange(1, n), mesh)
+            for a, c in zip(orders.alphas, orders.a_coeffs)) if n > 1 else []
+    acc = np.asarray(w, dtype=ld) @ (states[1:] - states[:-1])
+    mass = mass_symbol(mesh.m, mesh.h)
+    rhs = (source_moment(spec, mesh, n).astype(ld)
+           + product(mass, ld(c_prev) * u_prev - acc)
+           - ld(spec.k1 * tau / 2.0)
+           * product(stiffness_symbol(orders.beta, mesh.m, mesh.h), u_prev)
+           - ld(spec.k2 * tau / 2.0)
+           * product(stiffness_symbol(orders.gamma, mesh.m, mesh.h), u_prev))
+    return ld(gamma_fn(3.0 - a0)) * ld(tau) ** ld(a0 - 1.0) * rhs
 
 
 def graded_mesh(spec, m, n_steps):
@@ -152,18 +189,20 @@ class TestStiffnessSymbol:
             stiffness_symbol(1.2, 16, 0.1)
 
 
-def closed_form_symbol(spec, mats):
+def closed_form_symbol(spec, mesh, tau):
     """sum_i a_i G0 tau^(a0 - a_i) / G(3 - a_i) M + (G0 tau^a0 / 2)
     (k1 S_beta + k2 S_gamma), with G0 = G(3 - a0)."""
-    orders, tau = spec.orders, mats.tau
+    orders = spec.orders
     a0 = orders.alphas[0]
     g0 = gamma_fn(3.0 - a0)
     c_mass = sum(c * g0 * tau ** (a0 - a) / gamma_fn(3.0 - a)
                  for a, c in zip(orders.alphas, orders.a_coeffs))
     half = g0 * tau ** a0 / 2.0
-    return (c_mass * mats.mass.symbol
-            + spec.k1 * half * mats.stiff_beta.symbol
-            + spec.k2 * half * mats.stiff_gamma.symbol)
+    return (c_mass * mass_symbol(mesh.m, mesh.h).symbol
+            + spec.k1 * half
+            * stiffness_symbol(orders.beta, mesh.m, mesh.h).symbol
+            + spec.k2 * half
+            * stiffness_symbol(orders.gamma, mesh.m, mesh.h).symbol)
 
 
 class TestStepMatrix:
@@ -171,8 +210,8 @@ class TestStepMatrix:
         spec = default_spec()
         mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
         mats = step_matrix(spec, mesh, 1)
-        assert np.allclose(mats.a_full.symbol, closed_form_symbol(spec, mats),
-                           rtol=1e-15)
+        assert np.allclose(mats.a_full.symbol,
+                           closed_form_symbol(spec, mesh, mats.tau), rtol=1e-15)
         assert mats.tau == pytest.approx(mesh.taus[0])
 
     def test_scales_match_closed_form(self):
@@ -181,8 +220,8 @@ class TestStepMatrix:
             FractionalOrders((0.7, 0.4), (1.0, 1.0), 0.3, 0.85), 5.0, 30.0)
         mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H2)
         mats = step_matrix(spec, mesh, 1)
-        assert np.allclose(mats.a_full.symbol, closed_form_symbol(spec, mats),
-                           rtol=1e-15)
+        assert np.allclose(mats.a_full.symbol,
+                           closed_form_symbol(spec, mesh, mats.tau), rtol=1e-15)
 
     def test_out_of_range_level(self):
         spec = default_spec()
@@ -340,9 +379,11 @@ class TestRhsVector:
         c_prev = sum(tau ** (1.0 - a) / gamma_fn(3.0 - a) for a in (0.9, 0.4))
         want = g0 * tau ** (0.9 - 1.0) * (
             source_moment(spec, mesh, 1)
-            + c_prev * mats.mass.matvec(u0)
-            - spec.k1 * tau / 2.0 * mats.stiff_beta.matvec(u0)
-            - spec.k2 * tau / 2.0 * mats.stiff_gamma.matvec(u0))
+            + c_prev * mass_symbol(mesh.m, mesh.h).matvec(u0)
+            - spec.k1 * tau / 2.0
+            * stiffness_symbol(0.3, mesh.m, mesh.h).matvec(u0)
+            - spec.k2 * tau / 2.0
+            * stiffness_symbol(0.8, mesh.m, mesh.h).matvec(u0))
         assert np.allclose(got, want, rtol=1e-14)
 
     @pytest.mark.parametrize("graded", [True, False])
@@ -362,8 +403,59 @@ class TestRhsVector:
                 history.append(states[len(history)])
             mats = step_matrix(spec, mesh, n)
             got = rhs_vector(spec, mesh, n, history, mats)
-            want = loop_rhs_vector(spec, mesh, n, states, mats)
+            want = loop_rhs_vector(spec, mesh, n, states)
             assert rel_diff(got, want) <= 1e-13
+
+    def test_requires_step_matrix_of_its_time_step(self):
+        spec = default_spec()
+        mesh = graded_mesh(spec, 16, 8)
+        history = TimeHistory.from_initial(spec, mesh)
+        history.append(history.states[0])
+        with pytest.raises(ValueError, match="tau"):
+            rhs_vector(spec, mesh, 2, history, step_matrix(spec, mesh, 1))
+
+    def test_two_products_per_call(self, monkeypatch):
+        # The mass matrix on 2 c_mass U^{n-1} - s mem and the step matrix
+        # on U^{n-1}, with or without a memory term.
+        spec = default_spec()
+        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        mats = step_matrix(spec, mesh, 1)
+        history = TimeHistory.from_initial(spec, mesh)
+        calls = []
+        matvec = SymToeplitz.matvec
+
+        def counted(self, x):
+            calls.append(self.m)
+            return matvec(self, x)
+
+        monkeypatch.setattr(SymToeplitz, "matvec", counted)
+        for n in (1, 2, 3):
+            calls.clear()
+            rhs_vector(spec, mesh, n, history, mats)
+            assert len(calls) == 2
+            history.append(history.states[-1])
+
+    def test_fft_products_match_longdouble_reference(self):
+        # M = 1024 takes the FFT product.  Both forms stay within 1e-11 of
+        # a dense long-double evaluation of the same float64 data.
+        spec = make_example_2(
+            FractionalOrders((0.7, 0.5), (1.0, 1.0), 0.15, 0.95), 5.0, 30.0)
+        mesh = make_mesh(spec, 1024, TimePolicy.TAU_EQ_H)
+        mats = step_matrix(spec, mesh, 1)
+        assert mats.a_full.m > DENSE_MATVEC_CUTOFF
+        rng = np.random.default_rng(11)
+        x = mesh.interior_nodes()
+        n_last = 64
+        states = np.array([spec.exact(x, t) for t in mesh.times[:n_last]])
+        states *= 1.0 + 1e-3 * rng.standard_normal(states.shape)
+        history = TimeHistory(states[0])
+        for n in (1, 2, n_last):
+            while len(history) < n:
+                history.append(states[len(history)])
+            want = longdouble_rhs_vector(spec, mesh, n, states)
+            for got in (rhs_vector(spec, mesh, n, history, mats),
+                        loop_rhs_vector(spec, mesh, n, states)):
+                assert rel_diff(got.astype(np.longdouble), want) <= 1e-11
 
     def test_history_is_one_array(self):
         spec = default_spec()

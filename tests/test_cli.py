@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from mtfade import cli
 from mtfade.cli import main
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{5}E[+-]\d{2,3}$")
@@ -95,6 +96,26 @@ class TestBench:
         _, rows = parse_csv(out)
         assert rows[0][4] == "non-converged"
         assert rows[0][3] == "1000"
+
+
+    def test_out_file_closed_when_a_solve_raises(self, tmp_path,
+                                                  monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def failing_cell(*args):
+            raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(cli, "_bench_cell", failing_cell)
+        out = tmp_path / "bench.csv"
+        with pytest.raises(RuntimeError, match="solve failed"):
+            main(["bench", "--sizes", "16", "--out", str(out)])
+        assert len(opened) == 1 and opened[0].closed
+        assert out.read_text().startswith("M,solver,")
 
 
 class TestSolve:

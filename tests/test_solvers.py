@@ -151,6 +151,17 @@ class TestCg:
             if x0 is None:
                 assert rep.converged
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-150])
+    def test_far_warm_start_converges(self, scale):
+        # x0 = ones is ~1e100 times the solution, so the true residual
+        # stalls near eps ||r0|| while the recurrence residual keeps
+        # falling; only a restart from the true residual gets below it.
+        T, b = first_step_set1(64)
+        b = scale * b
+        x, rep = cg_solve(T, b, tol=1e-12, x0=np.ones(T.m))
+        assert rep.converged
+        assert scale_free_relres(T, x, b) <= 1e-12
+
 
 @st.composite
 def dominant_symbol(draw):
