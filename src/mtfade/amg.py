@@ -4,19 +4,29 @@ This is the paper's algorithm, and it has no settings.  The hierarchy
 uses a stride-2 C/F splitting, half-weight interpolation (every nonzero
 transfer weight is 1/2), and a closed-form Galerkin convolution that
 keeps every coarse-level matrix symmetric Toeplitz; it coarsens until at
-most COARSEST_MAX = 8 unknowns remain.  Setup is therefore O(M) work and
-storage, plus one LAPACK LU factorisation of the small coarsest matrix;
-each V(1,1)-cycle costs O(M log M) through the Toeplitz matvec.
-Smoothing is one CF-Jacobi sweep with weight 1 (see cf_jacobi_sweep).
+most COARSEST_MAX = 8 unknowns remain.  Smoothing is one CF-Jacobi sweep
+with weight 1 (see cf_jacobi_sweep).
+
+A coarse level starts from a zero guess, so the part of the cycle from
+it down is a fixed linear map of its right-hand side.  Set-up folds the
+coarse levels of at most TAIL_MAX unknowns into one dense map of at most
+TAIL_MAX^2 entries (AmgHierarchy.tail): the inverse of the coarsest
+matrix from its LAPACK LU factors, then, level by level upwards, the
+cycle's own sweeps and transfers run on the identity (fold).  The cycle
+applies that map with one dense product.  Set-up is therefore O(M) work
+and storage plus a fold of fixed size; each V(1,1)-cycle costs
+O(M log M) through the Toeplitz matvec.
 
 A cycle makes only the products it needs: amg_solve's iteration loop
 (solvers.iterate) hands the true residual it has just checked to the
 cycle, whose first smoothing pass uses it, and every coarse level starts
-from a zero guess whose residual is its right-hand side.  One solver
-iteration on L smoothing levels therefore makes 6 L + 1 Toeplitz
-products (three per CF-Jacobi sweep, one residual before restriction,
-one check).  The coarsest system is solved with the LU factors computed
-at set-up.
+from a zero guess whose residual is its right-hand side.  On a level
+with a dense copy (m <= DENSE_MATVEC_CUTOFF) the second and third pass
+of a sweep compute only the rows they relax, half a product each.  One
+solver iteration is then the check plus, per smoothed level, one
+residual before restriction and five sweep passes: 4 products on a
+dense level, 6 on an FFT level, so 4 L + 1 when all L smoothed levels
+are dense.
 
 When tau^alpha0 h^(-2 gamma) <= 1 the condition number of the step
 matrix is O(1), plain CG is cheaper, and the adaptive driver switches
@@ -26,7 +36,7 @@ to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -35,15 +45,16 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .assembly import StepMatrix
 from .problem import Mesh, ProblemSpec
 from .camg_dense import direct_interp
-from .solvers import (COARSEST_MAX, cf_jacobi_sweep, cg_solve, iterate,
-                      lu_nopivot, lu_solve_nopivot)
+from .solvers import (COARSEST_MAX, TAIL_MAX, cf_jacobi_sweep, cg_solve,
+                      iterate, lu_nopivot, lu_solve_nopivot)
 from .toeplitz import SymToeplitz
 
 
 @dataclass
 class AmgHierarchy:
-    matrices: List[SymToeplitz]  # finest first; the last one is eliminated
-    coarsest_lu: Tuple[np.ndarray, np.ndarray]  # LAPACK getrf (lu, piv)
+    matrices: List[SymToeplitz]  # every level, finest first
+    n_smoothed: int  # the levels the cycle smooths, matrices[:n_smoothed]
+    tail: np.ndarray  # the levels below them, folded into one dense map
 
     @property
     def n_levels(self):
@@ -59,25 +70,27 @@ def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
     """Prolongation: inject C-values, F-values are half-weight averages.
 
     Boundary F-points with a single C-neighbour get one-sided weight 1/2,
-    which keeps the Galerkin coarse matrix exactly Toeplitz.
+    which keeps the Galerkin coarse matrix exactly Toeplitz.  An (mc, k)
+    block is interpolated column by column.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     mc = m_fine // 2
-    if coarse.shape != (mc,):
+    if coarse.shape[:1] != (mc,):
         raise ValueError(f"expected coarse vector of length {mc}, got {coarse.shape}")
-    fine = np.zeros(m_fine)
+    fine = np.zeros((m_fine,) + coarse.shape[1:])
     fine[1::2] = coarse
     f = fine[0::2]  # F-point 2j sits between C-values j - 1 and j
     f[:mc] = coarse
-    f[1:] += coarse[: f.size - 1]
+    f[1:] += coarse[: len(f) - 1]
     f *= 0.5
     return fine
 
 
 def restrict_apply(fine: np.ndarray, m_fine: int) -> np.ndarray:
-    """Restriction: the transpose of interp_apply."""
+    """Restriction: the transpose of interp_apply, column by column on an
+    (m_fine, k) block."""
     fine = np.asarray(fine, dtype=np.float64)
-    if fine.shape != (m_fine,):
+    if fine.shape[:1] != (m_fine,):
         raise ValueError(f"expected fine vector of length {m_fine}, got {fine.shape}")
     mc = m_fine // 2
     coarse = fine[0 : 2 * mc : 2].copy()  # left F-neighbour of C-point j
@@ -91,25 +104,51 @@ def galerkin_symbol(fine_symbol: np.ndarray) -> np.ndarray:
     """Coarse-level symbol of P^T A P for the half-weight transfers.
 
     s_l = 1/4 t_|2l-2| + t_|2l-1| + 3/2 t_2l + t_{2l+1} + 1/4 t_{2l+2},
-    indices beyond the fine symbol reading as zero.  O(M/2) work.
+    indices beyond the fine symbol reading as zero.  The five terms are
+    stride-2 slices of the symbol padded to t_2, t_1, t_0, ..., t_{m-1},
+    0, 0: O(M/2) work.
     """
     t = np.asarray(fine_symbol, dtype=np.float64)
     m = t.size
     if m < 3:
         raise ValueError("fine symbol must have length >= 3")
     mc = m // 2
-    idx = 2 * np.arange(mc)
-    s = np.zeros(mc)
-    for off, c in ((-2, 0.25), (-1, 1.0), (0, 1.5), (1, 1.0), (2, 0.25)):
-        j = np.abs(idx + off)
-        ok = j < m
-        s[ok] += c * t[j[ok]]
+    pad = np.zeros(m + 4)  # pad[j + 2] = t_|j|
+    pad[0], pad[1] = t[2], t[1]
+    pad[2 : m + 2] = t
+    n = 2 * mc
+    s = 0.25 * pad[0:n:2]
+    s += pad[1 : n + 1 : 2]
+    s += 1.5 * pad[2 : n + 2 : 2]
+    s += pad[3 : n + 3 : 2]
+    s += 0.25 * pad[4 : n + 4 : 2]
     return s
 
 
+def fold(A: SymToeplitz, coarse_map: np.ndarray) -> np.ndarray:
+    """The sub-cycle from A's level down as one dense matrix.
+
+    A coarse level starts from a zero guess, so its part of the cycle is
+    a fixed linear map of its right-hand side.  It is built by running
+    the cycle's own sweeps and transfers on the identity block, with
+    coarse_map standing for every level below A.
+    """
+    eye = np.eye(A.m)
+    x = cf_jacobi_sweep(A, np.zeros_like(eye), eye, eye)
+    coarse = restrict_apply(eye - A.to_dense() @ x, A.m)
+    x += interp_apply(coarse_map @ coarse, A.m)
+    return cf_jacobi_sweep(A, x, eye)
+
+
 def setup(a0: SymToeplitz) -> AmgHierarchy:
-    """Coarsen until at most COARSEST_MAX unknowns remain, then factor
-    that matrix."""
+    """Coarsen until at most COARSEST_MAX unknowns remain, then fold the
+    coarse levels of at most TAIL_MAX unknowns into one dense map.
+
+    The map is built bottom-up: the inverse of the coarsest matrix from
+    its LAPACK LU factors, then one fold() per level above it.  The
+    finest level is never folded, since the cycle starts there from the
+    caller's guess; a hierarchy of one level is its own inverse.
+    """
     if a0.symbol[0] <= 0:
         raise ValueError("matrix diagonal must be positive")
     matrices = [a0]
@@ -119,31 +158,39 @@ def setup(a0: SymToeplitz) -> AmgHierarchy:
     if info > 0:
         raise np.linalg.LinAlgError(
             f"coarsest matrix is singular (m={matrices[-1].m})")
-    return AmgHierarchy(matrices=matrices, coarsest_lu=(lu, piv))
+    tail = dgetrs(lu, piv, np.eye(matrices[-1].m))[0]
+    n_smoothed = len(matrices) - 1
+    while n_smoothed > 1 and matrices[n_smoothed - 1].m <= TAIL_MAX:
+        n_smoothed -= 1
+        tail = fold(matrices[n_smoothed], tail)
+    return AmgHierarchy(matrices, n_smoothed, tail)
 
 
 def coarse_solve(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
-    """Solve the coarsest system with its LAPACK LU factors."""
-    return dgetrs(*h.coarsest_lu, b)[0]
+    """Apply the folded tail of the cycle: one dense product."""
+    return h.tail @ b
 
 
 def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
            r: Optional[np.ndarray] = None) -> np.ndarray:
     """One V(1,1)-cycle: CF-Jacobi pre-smooth, coarse correction, post-smooth.
 
-    Every level but the last is smoothed; the last is solved with the LU
-    factors computed at set-up, so a hierarchy of one level is a direct
-    solve.  r, when given, is the finest-level residual b - A x the
-    caller has already computed; the first smoothing pass uses it instead
-    of a product.  Coarse levels start from a zero guess, whose residual
-    is the restricted right-hand side itself, so they make no product
-    with it either: a cycle on L smoothing levels makes 6 L products,
-    6 L + 1 without r.
+    The levels matrices[:n_smoothed] are smoothed; the rest are applied
+    as the dense map folded at set-up, so a hierarchy of one level is a
+    direct solve.  r, when given, is the finest-level residual b - A x
+    the caller has already computed; the first smoothing pass uses it
+    instead of a product.  Coarse levels start from a zero guess, whose
+    residual is the restricted right-hand side itself, so they make no
+    product with it either.  On L smoothed levels a cycle makes L
+    residual products before restriction and 2 L CF-Jacobi sweeps, whose
+    6 L passes take a product each except the first pass of every
+    pre-sweep (on the finest level, only when r is given); see
+    cf_jacobi_sweep for what a pass costs there.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (h.matrices[0].m,):
         raise ValueError("right-hand side does not match the finest level")
-    smoothed = h.matrices[:-1]
+    smoothed = h.matrices[: h.n_smoothed]
     xs, bs = [], []
     xk = np.asarray(x, dtype=np.float64)
     bk = b
@@ -168,7 +215,8 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
 
     Each step of iterate() is one cycle, handed the true residual
     b - A x that iterate() has just checked, so one iteration makes
-    6 L + 1 products on L smoothing levels.
+    4 L + 1 products on L smoothed levels with a dense copy (see the
+    module docstring).
     """
     return iterate(h.matrices[0], b,
                    lambda b, x, r, budget: (vcycle(h, b, x, r), 1),

@@ -8,13 +8,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz import SymToeplitz
+from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
 
 # The paper's multigrid, which has no settings: both hierarchies coarsen
 # until at most COARSEST_MAX unknowns remain and solve that level
 # directly, and smooth with one CF-Jacobi sweep (F, C, F passes) before
 # and after each coarse correction.
 COARSEST_MAX = 8
+# The Toeplitz hierarchy folds its coarse levels of at most TAIL_MAX
+# unknowns into one dense map at set-up (amg.fold).  Measured at M = 256
+# with one BLAS thread on a shared 2-core x86-64 host, against folding
+# nothing: this cut adds about 90 us to a 60 us set-up and takes 15% off
+# each V-cycle; a cut of 31 would add another 95 us for another 17%.
+# The set-up runs again at every multigrid step of a graded time mesh,
+# so the cut stays at 15.
+TAIL_MAX = 15
 _FCF = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
 
 
@@ -27,6 +35,26 @@ class SolveReport:
     branch: str = ""
 
 
+def norm2(v: np.ndarray) -> float:
+    """The 2-norm sqrt(v.v); when v.v is not finite, the norm of v scaled
+    by the power of two of max|v| (exact), scaled back.  So a finite v
+    whose squares overflow has its finite norm, and a v with an inf or
+    nan entry keeps a norm that is not finite."""
+    with np.errstate(over="ignore"):
+        vv = float(v.dot(v))
+    if math.isfinite(vv):
+        return math.sqrt(vv)
+    big = float(np.max(np.abs(v)))
+    if not math.isfinite(big):
+        return big
+    e = math.frexp(big)[1]
+    v = np.ldexp(v, -e)
+    try:
+        return math.ldexp(math.sqrt(float(v.dot(v))), e)
+    except OverflowError:  # the norm itself exceeds the float range
+        return math.inf
+
+
 def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
             x0: np.ndarray | None, branch: str = ""):
     """Drive step(b, x, r, budget) -> (x, iterations) until tol is met.
@@ -34,7 +62,8 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
     This is the one stopping rule of every solver.  b and x0 are first
     scaled by 2^-e, where e is the frexp exponent of max|b|; the scaling
     is exact in the normal range, so iterates are unchanged, while ||b||
-    and ||r|| can no longer underflow to 0 for a tiny b.  Before each
+    and ||r|| can no longer underflow to 0 for a tiny b; norm2 keeps
+    ||r|| finite when a huge x0 makes r.r overflow.  Before each
     step the true residual r = b - A @ x of the scaled system is
     computed, and the solve ends
 
@@ -56,13 +85,13 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
         return np.zeros_like(b), SolveReport(0, 0.0, True, "converged", branch)
     e = int(np.frexp(max(b.max(), -b.min()))[1])  # of max|b|, no temporary
     b = np.ldexp(b, -e)
-    bnorm = np.linalg.norm(b)
+    bnorm = norm2(b)
     x = np.zeros_like(b) if x0 is None else np.ldexp(
         np.asarray(x0, dtype=np.float64), -e)
     it = 0
     while True:
         r = b - A @ x
-        relres = float(np.linalg.norm(r) / bnorm)
+        relres = norm2(r) / bnorm
         if relres <= tol:
             reason = "converged"
         elif not math.isfinite(relres):
@@ -92,19 +121,32 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     0-based even positions, C-points the odd ones; each pass uses the
     freshly updated residual.  This ordering damps the oscillatory error
     components far better than a simultaneous sweep on these matrices,
-    whose scaled spectral radius can approach 2.  Cost is one product per
-    pass, less one when the caller passes r = b - A x (for a zero x,
-    r = b).
+    whose scaled spectral radius can approach 2.  The first pass takes
+    one product, or none when the caller passes r = b - A x (for a zero
+    x, r = b).  The other two passes take one FFT product each, except
+    on an operator with a dense copy D (a dense array, or a SymToeplitz
+    up to DENSE_MATVEC_CUTOFF), where they compute only the residual rows
+    they relax, D[s] @ x: half a product.  With a dense copy, x and b may
+    also be (m, k) blocks, relaxed column by column along axis 0.
     """
     d = A.diagonal()
-    if (d <= 0).any() if isinstance(d, np.ndarray) else d <= 0:
+    per_row = isinstance(d, np.ndarray)  # a dense array's own diagonal
+    if (d <= 0).any() if per_row else d <= 0:
         raise ValueError("Jacobi needs a positive diagonal")
     x = np.array(x, dtype=np.float64)
     w = 1.0 / d
+    if per_row:
+        w = w.reshape(w.shape + (1,) * (x.ndim - 1))
+        dense = A
+    else:
+        dense = A.to_dense() if A.m <= DENSE_MATVEC_CUTOFF else None
+    if r is None:
+        r = b - (A if dense is None else dense) @ x
+    rs = r[_FCF[0]]
     for k, s in enumerate(_FCF):
-        if k or r is None:
-            r = b - A @ x
-        x[s] += (w * r)[s]
+        if k:
+            rs = b[s] - dense[s] @ x if dense is not None else (b - A @ x)[s]
+        x[s] += rs * (w[s] if per_row else w)
     return x
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mtfade.amg
+
 from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     cg_solve, cg_switch, galerkin_symbol, interp_apply,
                     make_example_1, make_mesh, restrict_apply, setup,
@@ -10,7 +12,9 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
 from mtfade.amg import AdaptiveSolver
 from mtfade.assembly import TimeHistory, rhs_vector
 from mtfade.camg_dense import DenseAmg
-from mtfade.solvers import dense_solve, lu_nopivot, lu_solve_nopivot
+from mtfade.solvers import (TAIL_MAX, dense_solve, lu_nopivot,
+                            lu_solve_nopivot)
+from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
 
 def model_matrix(m=512, alphas=(0.9, 0.4), beta=0.3, gamma=0.8,
@@ -29,8 +33,8 @@ def first_step_system(m):
 
 # The V-cycle as first written, kept as the reference for the fast one:
 # a full residual before every smoothing pass, products with the zero
-# guess of the coarse levels, index-array transfers and a pivot-free
-# coarsest solve.
+# guess of the coarse levels, index-array transfers, a pivot-free
+# coarsest solve and no folded tail.
 
 def reference_interp(coarse, m_fine):
     fine = np.empty(m_fine)
@@ -58,7 +62,11 @@ def reference_sweep(T, x, b):
 
 
 def reference_vcycle(h, b, x):
-    *smoothed, coarsest = h.matrices
+    return reference_cycle(h.matrices, b, x)
+
+
+def reference_cycle(matrices, b, x):
+    *smoothed, coarsest = matrices
     lu = lu_nopivot(coarsest.to_dense())
     xs, bs = [], []
     xk, bk = x, b
@@ -74,6 +82,21 @@ def reference_vcycle(h, b, x):
         xk = xf + reference_interp(xk, A.m)
         xk = reference_sweep(A, xk, bf)
     return xk
+
+
+def loop_galerkin_symbol(fine_symbol):
+    """galerkin_symbol as first written: one fancy-indexed pass per
+    offset, the indices beyond the fine symbol masked out."""
+    t = np.asarray(fine_symbol, dtype=np.float64)
+    m = t.size
+    mc = m // 2
+    idx = 2 * np.arange(mc)
+    s = np.zeros(mc)
+    for off, c in ((-2, 0.25), (-1, 1.0), (0, 1.5), (1, 1.0), (2, 0.25)):
+        j = np.abs(idx + off)
+        ok = j < m
+        s[ok] += c * t[j[ok]]
+    return s
 
 
 def reference_amg_solve(h, b, x, tol=1e-12, maxit=1000):
@@ -110,6 +133,18 @@ class TestTransfers:
             assert np.array_equal(restrict_apply(yf, m),
                                   reference_restrict(yf, m))
 
+    def test_blocks_are_transferred_column_by_column(self):
+        rng = np.random.default_rng(25)
+        for m in (3, 7, 8, 15, 33):
+            xc = rng.standard_normal((m // 2, 4))
+            yf = rng.standard_normal((m, 4))
+            assert np.array_equal(
+                interp_apply(xc, m),
+                np.column_stack([interp_apply(c, m) for c in xc.T]))
+            assert np.array_equal(
+                restrict_apply(yf, m),
+                np.column_stack([restrict_apply(c, m) for c in yf.T]))
+
     def test_shape_guards(self):
         with pytest.raises(ValueError):
             interp_apply(np.zeros(4), 7)
@@ -135,6 +170,15 @@ class TestGalerkinSymbol:
         assert np.allclose(sym_coarse[2:-2, 2:-2], dense_coarse[2:-2, 2:-2],
                            rtol=0, atol=1e-12 * scale)
 
+    def test_matches_loop_form(self):
+        sizes = list(range(3, 41)) + [2 ** k - 1 for k in range(2, 16)]
+        for m in sizes:
+            t = np.random.default_rng(m).standard_normal(m)
+            got, want = galerkin_symbol(t), loop_galerkin_symbol(t)
+            assert got.shape == want.shape == (m // 2,)
+            scale = np.abs(t).max()
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
+
     def test_minimum_symbol_length(self):
         with pytest.raises(ValueError):
             galerkin_symbol(np.array([1.0, 0.5]))
@@ -158,6 +202,23 @@ class TestSetup:
                 assert rep.iterations == 1
                 want = np.linalg.solve(A.to_dense(), b)
                 assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+
+    # 8: one level, its own inverse; 16: the tail is the coarsest level
+    # alone, since the finest is never folded; from 32 on the levels of 15
+    # and 7 unknowns are folded.
+    @pytest.mark.parametrize("m", [8, 16, 32, 64, 256, 4096])
+    def test_tail_is_the_folded_sub_cycle(self, m):
+        A, _ = first_step_system(m)
+        h = setup(A)
+        sizes = [T.m for T in h.matrices]
+        cycled = [k for k in sizes[1:] if k > TAIL_MAX]
+        assert h.n_smoothed == (len(cycled) + 1 if m > 8 else 0)
+        below = h.matrices[h.n_smoothed:]
+        eye = np.eye(below[0].m)
+        want = np.column_stack([reference_cycle(below, e, np.zeros_like(e))
+                                for e in eye])
+        assert h.tail.shape == want.shape
+        assert np.abs(h.tail - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
@@ -222,26 +283,45 @@ class TestVcycleSolve:
         assert np.linalg.norm(got - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
     def test_product_count(self, monkeypatch):
-        # One iteration: the check, three products per CF-Jacobi sweep
-        # (two sweeps per level, the first pass of each pre-sweep reusing
-        # a known residual) and one residual before restriction.
-        A, b = first_step_system(256)
-        h = setup(A)
-        n_smooth = h.n_levels - 1
-        calls = []
+        # SymToeplitz.matvec calls in one iteration: the check, one
+        # residual before restriction per smoothed level, and five sweep
+        # products on each smoothed level above DENSE_MATVEC_CUTOFF (three
+        # per CF-Jacobi sweep, two sweeps, the pre-sweep's first pass
+        # reusing a known residual).  Below the cutoff the sweeps work on
+        # the dense copy, and the folded tail is one dense product, so
+        # neither calls matvec.  Each smoothed level is swept twice.  At
+        # M = 256 every level has a dense copy; at 1024 the two finest
+        # use the FFT.
+        systems = [first_step_system(m) for m in (256, 1024)]
+        hierarchies = [setup(A) for A, _ in systems]
+        calls, swept = [], []
         matvec = SymToeplitz.matvec
+        sweep = mtfade.amg.cf_jacobi_sweep
 
         def counted(self, x):
             calls.append(self.m)
             return matvec(self, x)
 
+        def counted_sweep(A, *args):
+            swept.append(A.m)
+            return sweep(A, *args)
+
         monkeypatch.setattr(SymToeplitz, "matvec", counted)
-        _, rep = amg_solve(h, b, tol=1e-12)
-        assert rep.converged and rep.iterations > 0
-        assert len(calls) == rep.iterations * (6 * n_smooth + 1) + 1
-        calls.clear()
-        vcycle(h, b, np.zeros(A.m))
-        assert len(calls) == 6 * n_smooth + 1
+        monkeypatch.setattr(mtfade.amg, "cf_jacobi_sweep", counted_sweep)
+        for (A, b), h in zip(systems, hierarchies):
+            smoothed = [T.m for T in h.matrices[: h.n_smoothed]]
+            n_fft = sum(k > DENSE_MATVEC_CUTOFF for k in smoothed)
+            per_cycle = len(smoothed) + 5 * n_fft
+            calls.clear()
+            swept.clear()
+            _, rep = amg_solve(h, b, tol=1e-12)
+            assert rep.converged and rep.iterations > 0
+            assert len(calls) == rep.iterations * (per_cycle + 1) + 1
+            assert set(calls) == set(smoothed)
+            assert sorted(swept) == sorted(rep.iterations * 2 * smoothed)
+            calls.clear()
+            vcycle(h, b, np.zeros(A.m))  # no residual handed in
+            assert len(calls) == per_cycle + (A.m > DENSE_MATVEC_CUTOFF)
 
     def test_zero_rhs(self):
         _, _, mats = model_matrix(m=64)
@@ -356,6 +436,28 @@ def test_tiny_rhs_is_solved_with_its_true_relres(solver, k):
     relres = scale_free_relres(A, x, b)
     assert rep.converged and relres <= 1e-12
     assert rep.final_relres == relres
+
+
+@pytest.mark.parametrize("k", [-160, -200])
+def test_huge_warm_start_has_a_finite_residual_norm(k):
+    # b = 10^k b0 with a warm start of ones: after iterate's scaling of b
+    # to max|b| ~ 1, x0 is about 10^-k, so r.r overflows although r is
+    # finite.  The multigrid solves it; CG overflows in its own
+    # recurrence, but must not claim convergence.
+    spec, mesh, mats = model_matrix(m=64)
+    A = mats.a_full
+    b = 10.0 ** k * rhs_vector(spec, mesh, 1,
+                               TimeHistory.from_initial(spec, mesh), mats)
+    x0 = np.ones(A.m)
+    x, rep = solve_with("amg", A, b, x0=x0)
+    relres = scale_free_relres(A, x, b)
+    assert rep.converged and relres <= 1e-12
+    assert rep.final_relres == relres
+    with np.errstate(all="ignore"):
+        x, rep = solve_with("cg", A, b, x0=x0)
+        relres = scale_free_relres(A, x, b)
+    assert rep.converged == (rep.reason == "converged")
+    assert not rep.converged or relres <= 1e-12
 
 
 @pytest.mark.parametrize("solver", ["cg", "amg", "two-level", "camg-dense"])

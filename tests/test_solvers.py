@@ -11,7 +11,7 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     cf_jacobi_sweep, cg_solve, dense_solve, make_example_1,
                     make_mesh, setup, step_matrix)
 from mtfade.assembly import TimeHistory, rhs_vector
-from mtfade.solvers import lu_nopivot, lu_solve_nopivot
+from mtfade.solvers import lu_nopivot, lu_solve_nopivot, norm2
 
 
 def spd_toeplitz(m, seed=0):
@@ -31,7 +31,16 @@ def first_step_set1(m):
 
 
 def true_relres(T, x, b):
-    return float(np.linalg.norm(b - T.matvec(x)) / np.linalg.norm(b))
+    return float(scaled_norm(b - T.matvec(x)) / scaled_norm(b))
+
+
+def scaled_norm(v):
+    """np.linalg.norm of v scaled by the power of two of max|v|, scaled
+    back: the plain norm wherever v.v neither overflows nor underflows,
+    and finite for every finite v."""
+    e = np.frexp(np.max(np.abs(v)))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e)
 
 
 def scale_free_relres(T, x, b):
@@ -69,11 +78,45 @@ class TestCfJacobi:
             with pytest.raises(ValueError):
                 cf_jacobi_sweep(A, np.zeros(4), np.ones(4))
 
+    def test_block_is_swept_column_by_column(self):
+        # The folded tail of the multigrid is built from (m, k) blocks.
+        T = spd_toeplitz(30, seed=8)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((30, 4))
+        b = rng.standard_normal((30, 4))
+        for A in (T, T.to_dense()):
+            for r in (None, b - T.to_dense() @ x):
+                got = cf_jacobi_sweep(A, x, b, r)
+                want = np.column_stack([
+                    cf_jacobi_sweep(A, x[:, j], b[:, j],
+                                    None if r is None else r[:, j])
+                    for j in range(4)])
+                assert np.allclose(got, want, rtol=1e-13, atol=0)
+
     def test_input_left_untouched(self):
         T = spd_toeplitz(10, seed=7)
         x = np.ones(10)
         cf_jacobi_sweep(T, x, np.zeros(10))
         assert np.array_equal(x, np.ones(10))
+
+
+class TestNorm2:
+    def test_is_the_plain_norm_where_squares_fit(self):
+        v = np.random.default_rng(14).standard_normal(100)
+        for scale in (1e-150, 1.0, 1e150):
+            assert norm2(scale * v) == np.linalg.norm(scale * v)
+
+    def test_huge_vector_has_a_finite_norm(self):
+        v = np.random.default_rng(15).standard_normal(100)
+        want = 1e200 * np.linalg.norm(v)
+        assert norm2(1e200 * v) == pytest.approx(want, rel=1e-14)
+        assert norm2(np.full(4, 1e300)) == pytest.approx(2e300, rel=1e-15)
+        assert norm2(np.full(4, 1e308)) == np.inf
+
+    def test_nonfinite_entries_give_a_nonfinite_norm(self):
+        assert norm2(np.array([1e200, np.inf])) == np.inf
+        assert np.isnan(norm2(np.array([1e200, np.nan])))
+        assert np.isnan(norm2(np.array([1.0, np.nan])))
 
 
 class TestCg:
