@@ -245,15 +245,20 @@ def history_weight(alpha: float, n: int, k, mesh: Mesh):
     This is the second difference of t -> t^(2-alpha) across the two
     intervals, divided by tau_k * Gamma(3-alpha); always positive by
     convexity of the power map.  k may be an integer array, giving the
-    weights of all those levels at once.
+    weights of all those levels at once.  With e = 2 - alpha and
+    g_j = (t_n - t_j)^e - (t_{n-1} - t_j)^e, the weight is
+    (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)); g is taken once over
+    j = min(k)-1 .. max(k), so a row of weights costs two arrays of
+    powers.
     """
     k = np.asarray(k)
-    if np.any((k < 1) | (k > n - 1)):
+    lo, hi = int(k.min()), int(k.max())
+    if lo < 1 or hi > n - 1:
         raise ValueError(f"history index k={k} must satisfy 1 <= k <= n-1={n - 1}")
-    t = mesh.times
+    t = mesh.times[lo - 1:hi + 1]
     e = 2.0 - alpha
-    num = ((t[n] - t[k - 1]) ** e - (t[n - 1] - t[k - 1]) ** e
-           - (t[n] - t[k]) ** e + (t[n - 1] - t[k]) ** e)
+    g = (mesh.times[n] - t) ** e - (mesh.times[n - 1] - t) ** e
+    num = (g[:-1] - g[1:])[k - lo]
     return num / (mesh.taus[k - 1] * gamma_fn(3.0 - alpha))
 
 
@@ -286,6 +291,10 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
         w = sum(c * history_weight(a, n, k, mesh)
                 for a, c in zip(orders.alphas, orders.a_coeffs))
         # -mem, as mem = sum_j (w_j - w_{j+1}) U^j with w_0 = w_n = 0
-        v += s * (np.diff(w, prepend=0.0, append=0.0) @ states)
+        dw = np.empty(n)
+        dw[0] = w[0]
+        np.subtract(w[1:], w[:-1], out=dw[1:-1])
+        dw[-1] = -w[-1]
+        v += s * (dw @ states)
     return (s * source_moment(spec, mesh, n) + mats.mass.matvec(v)
             - mats.a_full.matvec(u_prev))

@@ -32,6 +32,14 @@ from .timestepper import SolverFailure, convergence_table, march
 
 DEFAULT_SIZES = (64, 128, 256, 512)
 BENCH_MAXIT = 1000
+EXAMPLES = (1, 2)
+SOLVERS = ("cg", "icamg", "camg-dense-oracle")
+POLICIES = tuple(t.value for t in TimePolicy)
+# The values of the flags that neither the command line nor a config
+# file sets.  The flags themselves default to None, so that a file can
+# fill every flag left unset.
+DEFAULTS = {"example": 1, "alpha": "0.9,0.4", "beta": 0.3, "gamma": 0.8,
+            "policy": TimePolicy.TAU_EQ_H.value, "tol": 1e-12}
 
 
 class ConfigError(ValueError):
@@ -223,21 +231,19 @@ def make_parser() -> argparse.ArgumentParser:
                      ("solve", cmd_solve)):
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
-        sp.add_argument("--example", type=int, choices=(1, 2), default=1)
-        sp.add_argument("--alpha", default="0.9,0.4",
+        sp.add_argument("--example", type=int, choices=EXAMPLES)
+        sp.add_argument("--alpha",
                         help="comma list of Caputo orders, strictly decreasing")
-        sp.add_argument("--beta", type=float, default=0.3)
-        sp.add_argument("--gamma", type=float, default=0.8)
+        sp.add_argument("--beta", type=float)
+        sp.add_argument("--gamma", type=float)
         sp.add_argument("--k1", type=float, default=None)
         sp.add_argument("--k2", type=float, default=None)
-        sp.add_argument("--policy", default="tau-eq-h",
-                        choices=[t.value for t in TimePolicy])
+        sp.add_argument("--policy", choices=POLICIES)
         sp.add_argument("--tau-const", type=float, default=None)
         sp.add_argument("--sizes", default=None,
                         help="comma list of spatial resolutions M")
-        sp.add_argument("--solver", default=None,
-                        choices=("cg", "icamg", "camg-dense-oracle"))
-        sp.add_argument("--tol", type=float, default=1e-12)
+        sp.add_argument("--solver", default=None, choices=SOLVERS)
+        sp.add_argument("--tol", type=float)
         sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     return p
 
@@ -246,13 +252,25 @@ def _finalize_args(args) -> None:
     if args.config:
         overrides = _read_config_file(args.config)
         for key, val in overrides.items():
-            if not hasattr(args, key):
+            if key in ("command", "config", "func") or not hasattr(args, key):
                 raise ConfigError(f"unknown config key {key!r}")
             # Command-line flags win over file values only when the flag
-            # was given; argparse cannot tell, so the file only fills
-            # fields still at None.
+            # was given; argparse cannot tell, so every flag defaults to
+            # None and the file only fills fields still at None.
             if getattr(args, key) is None:
                 setattr(args, key, val)
+    for key, val in DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, val)
+    # File values arrive as strings and get the checks argparse gives
+    # the flags.
+    args.example = int(args.example)
+    if args.example not in EXAMPLES:
+        raise ConfigError(f"example must be one of {EXAMPLES}")
+    if args.policy not in POLICIES:
+        raise ConfigError(f"policy must be one of {POLICIES}")
+    if args.solver is not None and args.solver not in SOLVERS:
+        raise ConfigError(f"solver must be one of {SOLVERS}")
     args.alpha = _parse_floats(args.alpha) if isinstance(args.alpha, str) else args.alpha
     args.sizes = _parse_sizes(args.sizes) if isinstance(args.sizes, str) else \
         (list(args.sizes) if args.sizes else list(DEFAULT_SIZES))
@@ -276,7 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _finalize_args(args)
         build_problem(args)  # surface validation errors as config errors
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return args.func(args)

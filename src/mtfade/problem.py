@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -154,12 +154,43 @@ def make_mesh(spec: ProblemSpec, m: int, policy: TimePolicy,
     return Mesh(m=m, h=h, taus=taus, times=times)
 
 
-def _caputo_poly_t2(alphas: Sequence[float], a_coeffs: Sequence[float], t):
-    """sum_i a_i * Caputo^{alpha_i} of (t^2 + 1), in closed form."""
-    out = 0.0
-    for a, c in zip(alphas, a_coeffs):
-        out = out + c * 2.0 * t ** (2.0 - a) / gamma_fn(3.0 - a)
+def _power_poly(z, e, cs):
+    """z^e (cs[0] + cs[1] z + ...): one array power, the polynomial by
+    Horner's rule."""
+    out = cs[-1] * z
+    for c in cs[-2:0:-1]:
+        out += c
+        out *= z
+    out += cs[0]
+    out *= z ** e
     return out
+
+
+def _manufactured_source(orders: FractionalOrders, profile, terms):
+    """The source f(x, t) = D_t(t^2 + 1) profile(x, y) + (t^2 + 1) S(x),
+    y = 1 - x, of a manufactured solution (t^2 + 1) U(x).
+
+    D_t is sum_i a_i Caputo^{alpha_i}, which maps t^2 + 1 to
+    sum_i 2 a_i t^(2 - alpha_i) / Gamma(3 - alpha_i); profile is U
+    without its factor 100.  S(x) is the sum over terms (on_y, e, cs) of
+    z^e (cs[0] + cs[1] z + ...) with z = y if on_y else x.  Every
+    constant is taken here, once, so a call evaluates one array power
+    per term and multiplies for the rest.
+    """
+    time_terms = tuple((200.0 * c / gamma_fn(3.0 - a), 2.0 - a)
+                       for a, c in zip(orders.alphas, orders.a_coeffs))
+
+    def source(x, t):
+        x = np.asarray(x, dtype=np.float64)
+        y = 1.0 - x
+        space = np.zeros_like(x)
+        for on_y, e, cs in terms:
+            space += _power_poly(y if on_y else x, e, cs)
+        space *= t * t + 1.0
+        space += sum(c * t ** a for c, a in time_terms) * profile(x, y)
+        return space
+
+    return source
 
 
 def make_example_1(orders: FractionalOrders) -> ProblemSpec:
@@ -172,7 +203,6 @@ def make_example_1(orders: FractionalOrders) -> ProblemSpec:
         raise ValueError("this example uses exactly two temporal orders")
     if orders.a_coeffs != (1.0, 1.0):
         raise ValueError("this example uses unit temporal coefficients")
-    beta, gamma = orders.beta, orders.gamma
 
     def exact(x, t):
         x = np.asarray(x, dtype=np.float64)
@@ -181,22 +211,18 @@ def make_example_1(orders: FractionalOrders) -> ProblemSpec:
     def initial(x):
         return exact(x, 0.0)
 
-    def source(x, t):
-        x = np.asarray(x, dtype=np.float64)
-        time_part = 100.0 * (x * x - x ** 3) * _caputo_poly_t2(
-            orders.alphas, orders.a_coeffs, t)
-        y = 1.0 - x
-        s = 100.0 * (t * t + 1.0)
-        out = time_part
-        for mu, k in ((beta, 1.0), (gamma, 2.0)):
-            bracket = (y ** (1.0 - 2.0 * mu) / gamma_fn(2.0 - 2.0 * mu)
-                       + (2.0 * x ** (2.0 - 2.0 * mu)
-                          - 4.0 * y ** (2.0 - 2.0 * mu)) / gamma_fn(3.0 - 2.0 * mu)
-                       + (6.0 * y ** (3.0 - 2.0 * mu)
-                          - 6.0 * x ** (3.0 - 2.0 * mu)) / gamma_fn(4.0 - 2.0 * mu))
-            out = out + k * s / (2.0 * math.cos(mu * math.pi)) * bracket
-        return out
-
+    # Order mu, p = 1 - 2 mu, adds 100 K / (2 cos(mu pi)) times
+    #   y^p / G(p+1) + (2 x^(p+1) - 4 y^(p+1)) / G(p+2)
+    #   + (6 y^(p+2) - 6 x^(p+2)) / G(p+3)
+    # to S(x).
+    terms = []
+    for mu, k in ((orders.beta, 1.0), (orders.gamma, 2.0)):
+        p = 1.0 - 2.0 * mu
+        scale = 100.0 * k / (2.0 * math.cos(mu * math.pi))
+        g1, g2, g3 = (scale / gamma_fn(p + j) for j in (1.0, 2.0, 3.0))
+        terms += [(True, p, (g1, -4.0 * g2, 6.0 * g3)),
+                  (False, p + 1.0, (2.0 * g2, -6.0 * g3))]
+    source = _manufactured_source(orders, lambda x, y: x * x * y, terms)
     return ProblemSpec(orders=orders, k1=1.0, k2=2.0, domain=(0.0, 1.0),
                        horizon=0.5, source=source, initial=initial, exact=exact)
 
@@ -213,7 +239,6 @@ def make_example_2(orders: FractionalOrders, k1: float, k2: float) -> ProblemSpe
         raise ValueError("this example uses exactly two temporal orders")
     if orders.a_coeffs != (1.0, 1.0):
         raise ValueError("this example uses unit temporal coefficients")
-    beta, gamma = orders.beta, orders.gamma
 
     def exact(x, t):
         x = np.asarray(x, dtype=np.float64)
@@ -222,22 +247,17 @@ def make_example_2(orders: FractionalOrders, k1: float, k2: float) -> ProblemSpe
     def initial(x):
         return exact(x, 0.0)
 
-    def source(x, t):
-        x = np.asarray(x, dtype=np.float64)
-        time_part = 100.0 * (x * (1.0 - x)) ** 2 * _caputo_poly_t2(
-            orders.alphas, orders.a_coeffs, t)
-        y = 1.0 - x
-        s = 100.0 * (t * t + 1.0)
-        out = time_part
-        for mu, k in ((beta, k1), (gamma, k2)):
-            bracket = ((x ** (2.0 - 2.0 * mu) + y ** (2.0 - 2.0 * mu))
-                       / gamma_fn(3.0 - 2.0 * mu)
-                       - (6.0 * x ** (3.0 - 2.0 * mu)
-                          + 6.0 * y ** (3.0 - 2.0 * mu)) / gamma_fn(4.0 - 2.0 * mu)
-                       + (12.0 * x ** (4.0 - 2.0 * mu)
-                          + 12.0 * y ** (4.0 - 2.0 * mu)) / gamma_fn(5.0 - 2.0 * mu))
-            out = out + k * s / math.cos(mu * math.pi) * bracket
-        return out
-
+    # Order mu, q = 2 - 2 mu, adds 100 K / cos(mu pi) times
+    #   (x^q + y^q) / G(q+1) - 6 (x^(q+1) + y^(q+1)) / G(q+2)
+    #   + 12 (x^(q+2) + y^(q+2)) / G(q+3)
+    # to S(x).
+    terms = []
+    for mu, k in ((orders.beta, k1), (orders.gamma, k2)):
+        q = 2.0 - 2.0 * mu
+        scale = 100.0 * k / math.cos(mu * math.pi)
+        g1, g2, g3 = (scale / gamma_fn(q + j) for j in (1.0, 2.0, 3.0))
+        cs = (g1, -6.0 * g2, 12.0 * g3)
+        terms += [(False, q, cs), (True, q, cs)]
+    source = _manufactured_source(orders, lambda x, y: (x * y) ** 2, terms)
     return ProblemSpec(orders=orders, k1=k1, k2=k2, domain=(0.0, 1.0),
                        horizon=0.5, source=source, initial=initial, exact=exact)

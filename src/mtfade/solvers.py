@@ -162,12 +162,13 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
     or the budget runs out.  The recurrence residual therefore only
     proposes convergence: iterate() confirms it on b - T x, and
     otherwise CG restarts from that true residual.  A step that cannot
-    take a single iteration is a breakdown.
+    take a single iteration is a breakdown.  When r.r overflows (a warm
+    start far larger than the solution), that step instead solves
+    T d = r for the correction d from zero, with r scaled by the power
+    of two of max|r| (exact), and adds d scaled back to x.
     """
-    def step(b, x, r, budget):
-        bnorm = np.linalg.norm(b)
+    def recurrence(x, r, rr, budget, bnorm):
         p = r.copy()
-        rr = float(r @ r)
         floor = np.finfo(np.float64).eps ** 2 * rr
         for k in range(budget):
             if k and (math.sqrt(rr) / bnorm <= tol or rr <= floor):
@@ -183,6 +184,18 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
             p = r + (rr_new / rr) * p
             rr = rr_new
         return x, budget
+
+    def step(b, x, r, budget):
+        bnorm = np.linalg.norm(b)
+        with np.errstate(over="ignore"):
+            rr = float(r @ r)
+        if math.isfinite(rr):
+            return recurrence(x, r, rr, budget, bnorm)
+        e = math.frexp(float(np.max(np.abs(r))))[1]
+        r = np.ldexp(r, -e)
+        d, k = recurrence(np.zeros_like(x), r, float(r @ r), budget,
+                          math.ldexp(bnorm, -e))
+        return x + np.ldexp(d, e), k
 
     return iterate(T, b, step, tol, maxit, x0, "cg")
 

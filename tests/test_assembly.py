@@ -136,6 +136,26 @@ def longdouble_rhs_vector(spec, mesh, n, states):
     return ld(gamma_fn(3.0 - a0)) * ld(tau) ** ld(a0 - 1.0) * rhs
 
 
+def four_term_history_weight(alpha, n, k, mesh):
+    """The memory weight as the four-term difference of powers
+    (t_n - t_{k-1})^e - (t_{n-1} - t_{k-1})^e - (t_n - t_k)^e
+    + (t_{n-1} - t_k)^e over tau_k Gamma(3 - alpha), e = 2 - alpha:
+    four arrays of powers for a row of weights.
+
+    A single k is taken as a one-element array, as history_weight takes
+    it: numpy's scalar and array powers can differ by an ulp, which the
+    cancellation in a far-history weight (n = 128, k = 1 on a uniform
+    mesh) magnifies to about 2e-11."""
+    k = np.asarray(k)
+    kk = np.atleast_1d(k)
+    t = mesh.times
+    e = 2.0 - alpha
+    num = ((t[n] - t[kk - 1]) ** e - (t[n - 1] - t[kk - 1]) ** e
+           - (t[n] - t[kk]) ** e + (t[n - 1] - t[kk]) ** e)
+    w = num / (mesh.taus[kk - 1] * gamma_fn(3.0 - alpha))
+    return w.reshape(k.shape)
+
+
 def graded_mesh(spec, m, n_steps):
     """Time levels t_n = T (n/N)^2 on a uniform spatial grid."""
     a, b = spec.domain
@@ -347,6 +367,26 @@ class TestHistoryWeights:
                                    rtol=1e-12, atol=0.0)
         with pytest.raises(ValueError):
             history_weight(0.7, n, np.arange(0, n), mesh)
+
+    @pytest.mark.parametrize("graded", [True, False])
+    def test_two_rows_match_four_term_formula(self, graded):
+        spec = default_spec()
+        if graded:
+            mesh = graded_mesh(spec, 32, 64)
+        else:
+            mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H2)
+        last = mesh.n_steps
+        for n in (2, 3, 17, last):
+            levels = [np.arange(1, n), np.array([1, n - 1]), 1, n - 1]
+            if n > 8:
+                levels.append(np.array([3, 7, 8]))
+            for alpha in (0.15, 0.5, 0.9, 0.99):
+                for k in levels:
+                    got = history_weight(alpha, n, k, mesh)
+                    assert np.shape(got) == np.shape(k)
+                    np.testing.assert_allclose(
+                        got, four_term_history_weight(alpha, n, k, mesh),
+                        rtol=1e-12, atol=0.0)
 
     def test_index_guard(self):
         spec = default_spec()

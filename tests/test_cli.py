@@ -141,6 +141,40 @@ class TestConfigAndErrors:
         _, rows = parse_csv(out)
         assert [r[0] for r in rows] == ["8", "16"]
 
+    def test_config_file_sets_what_the_flags_set(self, tmp_path, capsys):
+        # Every flag, also those with a built-in default, can come from
+        # the file; the run then prints the same table as with flags.
+        values = {"example": "2", "alpha": "0.7,0.5", "beta": "0.15",
+                  "gamma": "0.95", "k1": "5", "k2": "30",
+                  "policy": "tau-eq-h2", "tol": "1e-10", "sizes": "8,16"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code, from_file = run_cli(["--config", str(cfg), "convergence"],
+                                  capsys)
+        assert code == 0
+        flags = [a for k, v in values.items() for a in (f"--{k}", v)]
+        code, from_flags = run_cli(["convergence"] + flags, capsys)
+        assert code == 0
+        assert from_file == from_flags
+        _, defaults = run_cli(["convergence", "--sizes", "8,16"], capsys)
+        assert from_file != defaults
+
+    @pytest.mark.parametrize("line", [
+        "example = 3", "example = 1.5", "policy = tau-eq-h3",
+        "solver = lu", "gamma = high", "command = solve",
+    ])
+    def test_bad_config_value_exit_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _ = run_cli(["--config", str(cfg), "convergence",
+                           "--sizes", "8"], capsys)
+        assert code == 2
+
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        code, _ = run_cli(["--config", str(tmp_path / "none.cfg"),
+                           "convergence", "--sizes", "8"], capsys)
+        assert code == 2
+
     def test_flag_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tol = 0\n")  # would be rejected if used

@@ -1,10 +1,15 @@
 """Problem definitions, meshes, and the built-in manufactured sources."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
 from mtfade import (FractionalOrders, Mesh, ProblemSpec, TimePolicy,
                     make_example_1, make_example_2, make_mesh)
+from mtfade.assembly import _space_rule
 
 # High-precision reference values for the manufactured sources, computed
 # independently from the closed-form Caputo and Riemann-Liouville
@@ -13,6 +18,48 @@ SRC1_A = ((0.3, 0.2), (0.9, 0.4), -1.6833594851652943)
 SRC1_B = ((0.85, 0.45), (0.5, 0.2), 344.86031469973391)
 SRC2_REF = ((0.4, 0.25), (0.7, 0.4), 5.0, 300.0, 0.3, 0.85,
             17332.297302245935)
+
+
+# The paper's two sets of orders: (alpha_1, alpha_2), beta, gamma.
+SET1 = ((0.9, 0.4), 0.3, 0.8)
+SET2 = ((0.7, 0.5), 0.15, 0.95)
+
+
+def caputo_t2(orders, t):
+    """sum_i a_i Caputo^{alpha_i} of (t^2 + 1), in closed form."""
+    return sum(c * 2.0 * t ** (2.0 - a) / gamma_fn(3.0 - a)
+               for a, c in zip(orders.alphas, orders.a_coeffs))
+
+
+def reference_source_1(orders, x, t):
+    """Example 1's source term by term, each power taken on its own."""
+    y = 1.0 - x
+    out = 100.0 * (x * x - x ** 3) * caputo_t2(orders, t)
+    for mu, k in ((orders.beta, 1.0), (orders.gamma, 2.0)):
+        bracket = (y ** (1.0 - 2.0 * mu) / gamma_fn(2.0 - 2.0 * mu)
+                   + (2.0 * x ** (2.0 - 2.0 * mu)
+                      - 4.0 * y ** (2.0 - 2.0 * mu)) / gamma_fn(3.0 - 2.0 * mu)
+                   + (6.0 * y ** (3.0 - 2.0 * mu)
+                      - 6.0 * x ** (3.0 - 2.0 * mu)) / gamma_fn(4.0 - 2.0 * mu))
+        out = out + (k * 100.0 * (t * t + 1.0)
+                     / (2.0 * math.cos(mu * math.pi)) * bracket)
+    return out
+
+
+def reference_source_2(orders, k1, k2, x, t):
+    """Example 2's source term by term, each power taken on its own."""
+    y = 1.0 - x
+    out = 100.0 * (x * y) ** 2 * caputo_t2(orders, t)
+    for mu, k in ((orders.beta, k1), (orders.gamma, k2)):
+        bracket = ((x ** (2.0 - 2.0 * mu) + y ** (2.0 - 2.0 * mu))
+                   / gamma_fn(3.0 - 2.0 * mu)
+                   - (6.0 * x ** (3.0 - 2.0 * mu)
+                      + 6.0 * y ** (3.0 - 2.0 * mu)) / gamma_fn(4.0 - 2.0 * mu)
+                   + (12.0 * x ** (4.0 - 2.0 * mu)
+                      + 12.0 * y ** (4.0 - 2.0 * mu)) / gamma_fn(5.0 - 2.0 * mu))
+        out = out + (k * 100.0 * (t * t + 1.0) / math.cos(mu * math.pi)
+                     * bracket)
+    return out
 
 
 def orders_default(alphas=(0.9, 0.4), beta=0.3, gamma=0.8):
@@ -131,6 +178,25 @@ class TestManufacturedProblems:
         assert np.allclose(spec.source(x, 0.3), spec.source(1.0 - x, 0.3),
                            rtol=1e-12)
         assert np.allclose(spec.exact(x, 0.3), spec.exact(1.0 - x, 0.3))
+
+    @pytest.mark.parametrize("m", [16, 257])
+    @pytest.mark.parametrize("orders", [SET1, SET2])
+    def test_sources_match_term_by_term_forms(self, orders, m):
+        # The quadrature points of source_moment, with the graded panels
+        # that reach toward the singular endpoints.
+        x, _ = _space_rule(0.0, 1.0 / m, m, 4)
+        o = orders_default(*orders)
+        cases = [(make_example_1(o), partial(reference_source_1, o))]
+        for k1, k2 in ((1.0, 2.0), (5.0, 300.0)):
+            cases.append((make_example_2(o, k1, k2),
+                          partial(reference_source_2, o, k1, k2)))
+        for spec, reference in cases:
+            for t in (0.0, 1e-3, 0.17, 0.5):
+                want = reference(x, t)
+                got = spec.source(x, t)
+                assert got.shape == x.shape
+                assert (np.max(np.abs(got - want))
+                        <= 1e-13 * np.max(np.abs(want)))
 
     def test_example_guards(self):
         three = FractionalOrders((0.9, 0.5, 0.2), (1.0, 1.0, 1.0), 0.3, 0.8)
