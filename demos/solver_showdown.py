@@ -17,14 +17,14 @@ import time
 from mtfade import (FractionalOrders, TimePolicy, cg_solve, make_example_1,
                     make_mesh, setup, step_matrix)
 from mtfade.amg import amg_solve
-from mtfade.assembly import TimeHistory, rhs_vector
+from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
 
 
 def first_step(spec, m):
     mesh = make_mesh(spec, m, TimePolicy.TAU_EQ_H)
     mats = step_matrix(spec, mesh, 1)
-    b = rhs_vector(spec, mesh, 1, TimeHistory.from_initial(spec, mesh), mats)
+    b = rhs_vector(spec, mesh, initial_state(spec, mesh)[None], mats)
     return mats, b
 
 

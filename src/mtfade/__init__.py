@@ -6,8 +6,9 @@ algebraic multigrid.
 from .problem import (FractionalOrders, Mesh, ProblemSpec, TimePolicy,
                       make_example_1, make_example_2, make_mesh)
 from .toeplitz import SymToeplitz
-from .assembly import (TimeHistory, history_weight, mass_symbol, rhs_vector,
-                       source_moment, step_matrix, stiffness_symbol)
+from .assembly import (history_weight, initial_state, mass_symbol,
+                       rhs_vector, source_moment, step_matrix,
+                       stiffness_symbol)
 from .solvers import cf_jacobi_sweep, cg_solve, dense_solve
 from .amg import (AdaptiveSolver, amg_solve, cg_switch, galerkin_symbol,
                   interp_apply, restrict_apply, setup, two_level_solve,
@@ -22,7 +23,7 @@ __all__ = [
     "FractionalOrders", "Mesh", "ProblemSpec", "TimePolicy",
     "make_example_1", "make_example_2", "make_mesh",
     # kernels and assembly
-    "SymToeplitz", "TimeHistory", "history_weight", "mass_symbol",
+    "SymToeplitz", "history_weight", "initial_state", "mass_symbol",
     "rhs_vector", "source_moment", "step_matrix", "stiffness_symbol",
     # solvers
     "AdaptiveSolver", "DenseAmg", "amg_solve", "cf_jacobi_sweep",

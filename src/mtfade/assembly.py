@@ -115,41 +115,10 @@ def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
                       tau=tau)
 
 
-class TimeHistory:
-    """Nodal solution vectors U^0 ... U^{n-1}, stored as the first n rows
-    of one array.
-
-    The array doubles its rows when full rather than holding all N+1
-    levels from the start: callers that need only the first step at
-    tau = h^2 would otherwise allocate N (M-1) numbers (32 GiB at
-    M = 2048).
-    """
-
-    def __init__(self, u0: np.ndarray):
-        u0 = np.asarray(u0, dtype=np.float64)
-        self._rows = u0[None, :].copy()
-        self._len = 1
-
-    @classmethod
-    def from_initial(cls, spec: ProblemSpec, mesh: Mesh) -> "TimeHistory":
-        a, _ = spec.domain
-        return cls(spec.initial(mesh.interior_nodes(a)))
-
-    @property
-    def states(self) -> np.ndarray:
-        """The stored states as rows, a view of the history array."""
-        return self._rows[:self._len]
-
-    def append(self, state: np.ndarray):
-        if self._len == len(self._rows):
-            grown = np.empty((2 * self._len, self._rows.shape[1]))
-            grown[:self._len] = self._rows
-            self._rows = grown
-        self._rows[self._len] = state
-        self._len += 1
-
-    def __len__(self):
-        return self._len
+def initial_state(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
+    """U^0: the initial data at the interior nodes."""
+    a, _ = spec.domain
+    return np.asarray(spec.initial(mesh.interior_nodes(a)), dtype=np.float64)
 
 
 def _graded_panels(lo, hi, toward_lo, levels=_BOUNDARY_GRADE_LEVELS):
@@ -262,12 +231,12 @@ def history_weight(alpha: float, n: int, k, mesh: Mesh):
     return num / (mesh.taus[k - 1] * gamma_fn(3.0 - alpha))
 
 
-def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
-               history: TimeHistory, mats: StepMatrix) -> np.ndarray:
-    """Assemble the scaled right-hand side for time level n.
+def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
+               mats: StepMatrix) -> np.ndarray:
+    """Assemble the scaled right-hand side for time level n = len(states).
 
-    history must hold exactly n states U^0 .. U^{n-1}, and mats is the
-    step matrix A for this level's time step.  With s = Gamma(3 - alpha0)
+    states holds U^0 .. U^{n-1} as rows, and mats is the step matrix A
+    for this level's time step.  With s = Gamma(3 - alpha0)
     tau^(alpha0 - 1) and the memory sum mem = sum_k w_k (U^k - U^{k-1}),
 
         F^n = s F_src + M (2 c_mass U^{n-1} - s mem) - A U^{n-1},
@@ -275,15 +244,18 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, n: int,
     since s (c' M - k1 tau/2 S_beta - k2 tau/2 S_gamma) = 2 c_mass M - A
     (s c' is c_mass and s k tau/2 are the stiffness coefficients of A).
     """
-    if len(history) != n:
-        raise ValueError(f"history holds {len(history)} states, expected {n}")
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != mesh.m - 1 \
+            or not 1 <= len(states) <= mesh.n_steps:
+        raise ValueError(f"states must be 1..{mesh.n_steps} rows of "
+                         f"{mesh.m - 1} values, got shape {states.shape}")
+    n = len(states)
     if abs(mats.tau - mesh.taus[n - 1]) > 1e-14 * mats.tau:
         raise ValueError(f"step matrix tau {mats.tau} is not that of level {n}")
     orders = spec.orders
     a0 = orders.alpha0
     s = gamma_fn(3.0 - a0) * mats.tau ** (a0 - 1.0)
 
-    states = history.states
     u_prev = states[n - 1]
     v = 2.0 * mats.c_mass * u_prev
     if n > 1:

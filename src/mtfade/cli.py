@@ -23,7 +23,7 @@ import numpy as np
 
 from .amg import AdaptiveSolver
 from .analysis import kappa_ratio_table
-from .assembly import TimeHistory, rhs_vector, step_matrix
+from .assembly import initial_state, rhs_vector, step_matrix
 from .camg_dense import DenseAmg
 from .problem import (FractionalOrders, ProblemSpec, TimePolicy,
                       make_example_1, make_example_2, make_mesh)
@@ -65,10 +65,9 @@ def _parse_floats(text: str) -> List[float]:
 
 def _parse_sizes(text: str) -> List[int]:
     vals = _parse_floats(text)
-    sizes = [int(v) for v in vals]
-    if not sizes or any(s != v for s, v in zip(sizes, vals)) or any(s < 4 for s in sizes):
+    if not vals or not all(v.is_integer() and v >= 4 for v in vals):
         raise ConfigError(f"sizes must be integers >= 4, got {text!r}")
-    return sizes
+    return [int(v) for v in vals]
 
 
 def _read_config_file(path: str) -> dict:
@@ -155,8 +154,7 @@ def _bench_cell(spec, mesh, solver: str, tol: float):
         oracle = DenseAmg(mats.a_full.to_dense())
     setup_s = time.perf_counter() - t0
 
-    history = TimeHistory.from_initial(spec, mesh)
-    b = rhs_vector(spec, mesh, 1, history, mats)
+    b = rhs_vector(spec, mesh, initial_state(spec, mesh)[None], mats)
     t0 = time.perf_counter()
     if solver == "cg":
         _, rep = cg_solve(mats.a_full, b, tol=tol, maxit=BENCH_MAXIT)
@@ -284,8 +282,8 @@ def _finalize_args(args) -> None:
         args.k1 = 1.0
     if args.k2 is None:
         args.k2 = 2.0
-    if args.tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0 < args.tol < np.inf:
+        raise ConfigError("tolerance must be positive and finite")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

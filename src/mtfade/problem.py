@@ -108,8 +108,13 @@ class Mesh:
         taus = np.asarray(self.taus, dtype=np.float64)
         if np.any(taus <= 0):
             raise ValueError("time steps must be positive")
+        times = np.asarray(self.times, dtype=np.float64)
+        # times[-1] scales the rounding that make_mesh's linspace leaves
+        if len(times) != len(taus) + 1 or np.any(
+                np.abs(np.diff(times) - taus) > 1e-12 * abs(times[-1])):
+            raise ValueError("times must step by taus, with one more entry")
         object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
+        object.__setattr__(self, "times", times)
 
     @property
     def n_steps(self):

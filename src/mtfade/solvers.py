@@ -76,10 +76,11 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
     iterations from the scaled b, x and r.  x is scaled back on return.
     An all-zero b is solved by x = 0 at once.  The report, labelled with
     branch, carries the true relative residual, so a claim of
-    convergence is never based on anything else, and no tol > 0 raises.
+    convergence is never based on anything else, and no finite tol > 0
+    raises.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     b = np.asarray(b, dtype=np.float64)
     if not b.any():
         return np.zeros_like(b), SolveReport(0, 0.0, True, "converged", branch)

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from .amg import AdaptiveSolver
-from .assembly import TimeHistory, rhs_vector, step_matrix
+from .assembly import initial_state, rhs_vector, step_matrix
 from .problem import Mesh, ProblemSpec, TimePolicy, make_mesh
 
 
@@ -24,17 +24,21 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class RunResult:
-    """A finished march.  The phase timers are wall seconds: setup covers
-    the step matrices and solvers (once on a uniform mesh, every step on
-    a graded one), rhs the right-hand sides, solve the linear solves."""
+    """A finished march.  states holds U^0 .. U^N as rows.  The phase
+    timers are wall seconds: setup covers the step matrices and solvers
+    (once on a uniform mesh, every step on a graded one), rhs the
+    right-hand sides, solve the linear solves."""
 
-    final_state: np.ndarray
+    states: np.ndarray
     l2_error: Optional[float]
     per_step_reports: list
     setup_seconds: float
     solve_seconds: float
     rhs_seconds: float
-    history: Optional[TimeHistory] = None
+
+    @property
+    def final_state(self):
+        return self.states[-1]
 
     @property
     def total_iterations(self):
@@ -52,15 +56,15 @@ def _step_solver(spec, mesh, n, force):
 
 
 def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
-          warm_start: bool = True, force: Optional[str] = None,
-          maxit: int = 1000, keep_history: bool = False) -> RunResult:
+          force: Optional[str] = None) -> RunResult:
     """March the scheme over all time steps.
 
     The initial state interpolates the initial data at the interior
-    nodes.  Each step assembles the history-dependent right-hand side and
-    solves with the adaptive solver, warm-started from the previous state
-    unless benchmark parity (zero initial guess) is requested.  A uniform
-    time mesh shares one step matrix and solver across all steps.
+    nodes.  Each step assembles the right-hand side from the states so
+    far and solves with the adaptive solver, warm-started from the
+    previous state.  The states fill one (N+1, M-1) array, allocated up
+    front.  A uniform time mesh shares one step matrix and solver across
+    all steps.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -68,7 +72,8 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
     setup_seconds = clock() - t0
     rhs_seconds = solve_seconds = 0.0
 
-    history = TimeHistory.from_initial(spec, mesh)
+    states = np.empty((mesh.n_steps + 1, mesh.m - 1))
+    states[0] = initial_state(spec, mesh)
     reports = []
     uniform = mesh.uniform
     for n in range(1, mesh.n_steps + 1):
@@ -76,10 +81,9 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
         if n > 1 and not uniform:
             solver = _step_solver(spec, mesh, n, force)
         t1 = clock()
-        b = rhs_vector(spec, mesh, n, history, solver.mats)
+        b = rhs_vector(spec, mesh, states[:n], solver.mats)
         t2 = clock()
-        x0 = history.states[-1] if warm_start else None
-        x, rep = solver.solve(b, tol=tol, maxit=maxit, x0=x0, force=force)
+        x, rep = solver.solve(b, tol=tol, x0=states[n - 1], force=force)
         t3 = clock()
         setup_seconds += t1 - t0
         rhs_seconds += t2 - t1
@@ -87,14 +91,12 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
         if not rep.converged:
             raise SolverFailure(n, rep)
         reports.append(rep)
-        history.append(x)
+        states[n] = x
 
-    final = history.states[-1].copy()  # does not pin the history array
-    err = l2_error(final, spec, mesh) if spec.exact else None
-    return RunResult(final_state=final, l2_error=err,
-                     per_step_reports=reports, setup_seconds=setup_seconds,
-                     solve_seconds=solve_seconds, rhs_seconds=rhs_seconds,
-                     history=history if keep_history else None)
+    err = l2_error(states[-1], spec, mesh) if spec.exact else None
+    return RunResult(states=states, l2_error=err, per_step_reports=reports,
+                     setup_seconds=setup_seconds,
+                     solve_seconds=solve_seconds, rhs_seconds=rhs_seconds)
 
 
 def l2_error(state: np.ndarray, spec: ProblemSpec, mesh: Mesh) -> float:
@@ -148,7 +150,6 @@ def convergence_table(spec: ProblemSpec, policy: TimePolicy,
                 rate_steps = np.log(err_prev / err) / np.log(mesh.n_steps / n_prev)
         rows.append({"M": m, "N": mesh.n_steps, "h": mesh.h,
                      "tau": float(mesh.taus[0]), "l2_error": err,
-                     "rate_h": rate_h, "rate_steps": rate_steps,
-                     "result": res})
+                     "rate_h": rate_h, "rate_steps": rate_steps})
         prev = (m, mesh.n_steps, err)
     return rows

@@ -17,7 +17,7 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, beta0,
                     make_example_2, make_mesh, setup, spectrum, step_matrix,
                     two_level_solve)
 from mtfade.amg import amg_solve
-from mtfade.assembly import TimeHistory, rhs_vector
+from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
 
 SET1 = ((0.9, 0.4), 0.3, 0.8)          # alphas, beta, gamma
@@ -34,7 +34,7 @@ def problem(alphas, beta, gamma):
 def first_step_system(spec, m):
     mesh = make_mesh(spec, m, TimePolicy.TAU_EQ_H)
     mats = step_matrix(spec, mesh, 1)
-    b = rhs_vector(spec, mesh, 1, TimeHistory.from_initial(spec, mesh), mats)
+    b = rhs_vector(spec, mesh, initial_state(spec, mesh)[None], mats)
     return mats, b
 
 

@@ -10,7 +10,7 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     make_example_1, make_mesh, restrict_apply, setup,
                     step_matrix, two_level_solve, vcycle)
 from mtfade.amg import AdaptiveSolver
-from mtfade.assembly import TimeHistory, rhs_vector
+from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
 from mtfade.solvers import (TAIL_MAX, dense_solve, lu_nopivot,
                             lu_solve_nopivot)
@@ -27,7 +27,7 @@ def model_matrix(m=512, alphas=(0.9, 0.4), beta=0.3, gamma=0.8,
 
 def first_step_system(m):
     spec, mesh, mats = model_matrix(m=m)
-    b = rhs_vector(spec, mesh, 1, TimeHistory.from_initial(spec, mesh), mats)
+    b = rhs_vector(spec, mesh, initial_state(spec, mesh)[None], mats)
     return mats.a_full, b
 
 
@@ -410,8 +410,8 @@ def test_underflowing_rhs_norm_is_not_claimed(solver):
     # system, so a claim of convergence must hold there.
     spec, mesh, mats = model_matrix(m=64)
     A = mats.a_full
-    b = 1e-200 * rhs_vector(spec, mesh, 1,
-                            TimeHistory.from_initial(spec, mesh), mats)
+    u0 = initial_state(spec, mesh)[None]
+    b = 1e-200 * rhs_vector(spec, mesh, u0, mats)
     assert np.any(b) and np.linalg.norm(b) == 0.0
     starts = (None, np.ones(A.m)) if solver in ("amg", "cg") else (None,)
     for x0 in starts:
@@ -446,8 +446,8 @@ def test_huge_warm_start_has_a_finite_residual_norm(k):
     # a restart on the correction with r scaled by a power of two.
     spec, mesh, mats = model_matrix(m=64)
     A = mats.a_full
-    b = 10.0 ** k * rhs_vector(spec, mesh, 1,
-                               TimeHistory.from_initial(spec, mesh), mats)
+    u0 = initial_state(spec, mesh)[None]
+    b = 10.0 ** k * rhs_vector(spec, mesh, u0, mats)
     x0 = np.ones(A.m)
     for solver in ("amg", "cg"):
         x, rep = solve_with(solver, A, b, x0=x0)

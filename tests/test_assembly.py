@@ -9,7 +9,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
 from mtfade import (FractionalOrders, Mesh, SymToeplitz, TimePolicy,
-                    TimeHistory, history_weight, make_example_1,
+                    history_weight, initial_state, make_example_1,
                     make_example_2, make_mesh, mass_symbol, rhs_vector,
                     source_moment, step_matrix, stiffness_symbol)
 from mtfade.assembly import _graded_panels
@@ -399,23 +399,25 @@ class TestHistoryWeights:
 
 class TestRhsVector:
     def test_requires_full_history(self):
+        # states must be 1 .. N rows of M - 1 values
         spec = default_spec()
         mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
         mats = step_matrix(spec, mesh, 1)
-        history = TimeHistory.from_initial(spec, mesh)
-        with pytest.raises(ValueError):
-            rhs_vector(spec, mesh, 2, history, mats)
+        u0 = initial_state(spec, mesh)
+        for bad in (u0, u0[None, 1:], u0[None, :][:0],
+                    np.tile(u0, (mesh.n_steps + 1, 1))):
+            with pytest.raises(ValueError, match="states"):
+                rhs_vector(spec, mesh, bad, mats)
 
     def test_first_step_matches_direct_assembly(self):
         from scipy.special import gamma as gamma_fn
         spec = default_spec()
         mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
         mats = step_matrix(spec, mesh, 1)
-        history = TimeHistory.from_initial(spec, mesh)
-        got = rhs_vector(spec, mesh, 1, history, mats)
+        u0 = initial_state(spec, mesh)
+        got = rhs_vector(spec, mesh, u0[None], mats)
         tau = mats.tau
         g0 = gamma_fn(3.0 - 0.9)
-        u0 = history.states[0]
         c_prev = sum(tau ** (1.0 - a) / gamma_fn(3.0 - a) for a in (0.9, 0.4))
         want = g0 * tau ** (0.9 - 1.0) * (
             source_moment(spec, mesh, 1)
@@ -437,22 +439,18 @@ class TestRhsVector:
         x = mesh.interior_nodes()
         states = np.array([spec.exact(x, t) for t in mesh.times])
         states *= 1.0 + 1e-3 * rng.standard_normal(states.shape)
-        history = TimeHistory(states[0])
         for n in (2, 3, 17, mesh.n_steps // 2, mesh.n_steps):
-            while len(history) < n:
-                history.append(states[len(history)])
             mats = step_matrix(spec, mesh, n)
-            got = rhs_vector(spec, mesh, n, history, mats)
+            got = rhs_vector(spec, mesh, states[:n], mats)
             want = loop_rhs_vector(spec, mesh, n, states)
             assert rel_diff(got, want) <= 1e-13
 
     def test_requires_step_matrix_of_its_time_step(self):
         spec = default_spec()
         mesh = graded_mesh(spec, 16, 8)
-        history = TimeHistory.from_initial(spec, mesh)
-        history.append(history.states[0])
+        states = np.tile(initial_state(spec, mesh), (2, 1))
         with pytest.raises(ValueError, match="tau"):
-            rhs_vector(spec, mesh, 2, history, step_matrix(spec, mesh, 1))
+            rhs_vector(spec, mesh, states, step_matrix(spec, mesh, 1))
 
     def test_two_products_per_call(self, monkeypatch):
         # The mass matrix on 2 c_mass U^{n-1} - s mem and the step matrix
@@ -460,7 +458,7 @@ class TestRhsVector:
         spec = default_spec()
         mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
         mats = step_matrix(spec, mesh, 1)
-        history = TimeHistory.from_initial(spec, mesh)
+        states = np.tile(initial_state(spec, mesh), (3, 1))
         calls = []
         matvec = SymToeplitz.matvec
 
@@ -471,9 +469,8 @@ class TestRhsVector:
         monkeypatch.setattr(SymToeplitz, "matvec", counted)
         for n in (1, 2, 3):
             calls.clear()
-            rhs_vector(spec, mesh, n, history, mats)
+            rhs_vector(spec, mesh, states[:n], mats)
             assert len(calls) == 2
-            history.append(history.states[-1])
 
     def test_fft_products_match_longdouble_reference(self):
         # M = 1024 takes the FFT product.  Both forms stay within 1e-11 of
@@ -488,24 +485,8 @@ class TestRhsVector:
         n_last = 64
         states = np.array([spec.exact(x, t) for t in mesh.times[:n_last]])
         states *= 1.0 + 1e-3 * rng.standard_normal(states.shape)
-        history = TimeHistory(states[0])
         for n in (1, 2, n_last):
-            while len(history) < n:
-                history.append(states[len(history)])
             want = longdouble_rhs_vector(spec, mesh, n, states)
-            for got in (rhs_vector(spec, mesh, n, history, mats),
+            for got in (rhs_vector(spec, mesh, states[:n], mats),
                         loop_rhs_vector(spec, mesh, n, states)):
                 assert rel_diff(got.astype(np.longdouble), want) <= 1e-11
-
-    def test_history_is_one_array(self):
-        spec = default_spec()
-        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
-        history = TimeHistory.from_initial(spec, mesh)
-        u0 = history.states[0].copy()
-        for j in range(1, mesh.n_steps + 1):
-            history.append(np.full(mesh.m - 1, float(j)))
-        assert len(history) == mesh.n_steps + 1
-        assert history.states.shape == (mesh.n_steps + 1, mesh.m - 1)
-        assert np.array_equal(history.states[0], u0)
-        assert np.array_equal(history.states[1:, 0],
-                              np.arange(1.0, mesh.n_steps + 1))

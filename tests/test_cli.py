@@ -189,6 +189,9 @@ class TestConfigAndErrors:
         ["convergence", "--beta", "0.5"],
         ["convergence", "--tol", "-1"],
         ["condest", "--example", "2", "--sizes", "8"],  # needs k1/k2
+        ["solve", "--sizes", "16", "--tol", "nan"],
+        ["solve", "--sizes", "16", "--tol", "inf"],
+        ["solve", "--sizes", "inf"],
     ])
     def test_config_errors_exit_2(self, argv, capsys):
         code, _ = run_cli(argv, capsys)

@@ -140,6 +140,10 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(m=8, h=0.125, taus=np.array([-0.1]),
                  times=np.array([0.0, 0.1]))
+        with pytest.raises(ValueError, match="times"):  # too few times
+            Mesh(m=16, h=1 / 16, taus=[0.1] * 5, times=[0.0, 0.1])
+        with pytest.raises(ValueError, match="times"):  # steps off taus
+            Mesh(m=16, h=1 / 16, taus=[0.1, 0.1], times=[0.0, 0.1, 0.3])
 
     def test_interior_nodes(self):
         spec = make_example_1(orders_default())

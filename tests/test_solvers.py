@@ -1,6 +1,8 @@
 """The iteration driver, relaxation sweeps, conjugate gradients, and the
 pivot-free LU."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     cf_jacobi_sweep, cg_solve, dense_solve, make_example_1,
                     make_mesh, setup, step_matrix)
-from mtfade.assembly import TimeHistory, rhs_vector
+from mtfade.assembly import initial_state, rhs_vector
 from mtfade.solvers import lu_nopivot, lu_solve_nopivot, norm2
 
 
@@ -26,7 +28,7 @@ def first_step_set1(m):
     spec = make_example_1(FractionalOrders((0.9, 0.4), (1.0, 1.0), 0.3, 0.8))
     mesh = make_mesh(spec, m, TimePolicy.TAU_EQ_H)
     mats = step_matrix(spec, mesh, 1)
-    b = rhs_vector(spec, mesh, 1, TimeHistory.from_initial(spec, mesh), mats)
+    b = rhs_vector(spec, mesh, initial_state(spec, mesh)[None], mats)
     return mats.a_full, b
 
 
@@ -149,8 +151,9 @@ class TestCg:
         _, rep = cg_solve(T, b, tol=1e-15, maxit=1)
         assert not rep.converged and rep.iterations == 1
         assert rep.reason == "maxit"
-        with pytest.raises(ValueError):
-            cg_solve(T, b, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cg_solve(T, b, tol=tol)
 
     def test_breakdown_is_reported(self):
         # A negative diagonal gives p.Ap < 0 at the first step.

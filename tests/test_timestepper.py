@@ -7,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from mtfade import (FractionalOrders, ProblemSpec, TimePolicy,
-                    convergence_table, l2_error, make_example_1, make_mesh,
-                    march)
+from mtfade import (FractionalOrders, Mesh, ProblemSpec, TimePolicy,
+                    convergence_table, initial_state, l2_error,
+                    make_example_1, make_mesh, march, rhs_vector,
+                    step_matrix)
 from mtfade.timestepper import SolverFailure
 
 
@@ -25,14 +26,25 @@ class TestMarch:
         assert res.l2_error < 2e-2
         assert len(res.per_step_reports) == mesh.n_steps
         assert all(r.converged for r in res.per_step_reports)
-        assert res.history is None
+        assert res.states.shape == (mesh.n_steps + 1, mesh.m - 1)
+        assert np.array_equal(res.states[0], initial_state(spec, mesh))
+        assert np.array_equal(res.states[-1], res.final_state)
 
-    def test_history_kept_on_request(self):
+    def test_states_replay_step_by_step(self):
+        # On a graded mesh every step has its own matrix; each stored
+        # state solves the system built from the states before it.
         spec = make_example_1(orders())
-        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
-        res = march(spec, mesh, tol=1e-12, keep_history=True)
-        assert len(res.history) == mesh.n_steps + 1
-        assert np.array_equal(res.history.states[-1], res.final_state)
+        n_steps = 12
+        times = spec.horizon * (np.arange(n_steps + 1) / n_steps) ** 2
+        mesh = Mesh(m=16, h=1.0 / 16, taus=np.diff(times), times=times)
+        res = march(spec, mesh, tol=1e-12)
+        for n in range(1, n_steps + 1):
+            b = rhs_vector(spec, mesh, res.states[:n],
+                           step_matrix(spec, mesh, n))
+            want = np.linalg.solve(
+                step_matrix(spec, mesh, n).a_full.to_dense(), b)
+            assert np.linalg.norm(res.states[n] - want) \
+                <= 1e-10 * np.linalg.norm(want)
 
     def test_forced_branches_agree(self):
         spec = make_example_1(orders())
@@ -45,16 +57,6 @@ class TestMarch:
         scale = np.linalg.norm(res_cg.final_state)
         assert np.linalg.norm(res_cg.final_state - res_amg.final_state) \
             <= 100 * tol * scale
-
-    def test_cold_start_matches_warm_start(self):
-        spec = make_example_1(orders())
-        mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
-        warm = march(spec, mesh, tol=1e-12, warm_start=True)
-        cold = march(spec, mesh, tol=1e-12, warm_start=False)
-        scale = np.linalg.norm(warm.final_state)
-        assert np.linalg.norm(warm.final_state - cold.final_state) \
-            <= 1e-9 * scale
-        assert cold.total_iterations >= warm.total_iterations
 
     def test_history_causality(self):
         # zeroing the source after t_k must not change U^1 .. U^k
@@ -71,11 +73,9 @@ class TestMarch:
         spec_cut = ProblemSpec(orders=base.orders, k1=base.k1, k2=base.k2,
                                domain=base.domain, horizon=base.horizon,
                                source=truncated, initial=base.initial)
-        full = march(base, mesh, tol=1e-12, keep_history=True)
-        cut = march(spec_cut, mesh, tol=1e-12, keep_history=True)
-        for n in range(k + 1):
-            assert np.array_equal(full.history.states[n],
-                                  cut.history.states[n])
+        full = march(base, mesh, tol=1e-12)
+        cut = march(spec_cut, mesh, tol=1e-12)
+        assert np.array_equal(full.states[:k + 1], cut.states[:k + 1])
 
     def test_zero_source_zero_initial_stays_zero(self):
         base = make_example_1(orders())
@@ -94,8 +94,9 @@ class TestMarch:
         spec = make_example_1(orders())
         mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
         with pytest.raises(SolverFailure) as exc:
-            march(spec, mesh, tol=1e-14, maxit=1, warm_start=False)
+            march(spec, mesh, tol=1e-300)
         assert exc.value.step == 1
+        assert exc.value.report.reason == "maxit"
 
     def test_source_called_once_per_time_node(self):
         # The spatial rule is built once per mesh: each step evaluates the
