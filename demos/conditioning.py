@@ -9,21 +9,19 @@ large, conditioning stops depending on it.
 Run from the repository root:  python3 demos/conditioning.py
 """
 
-from mtfade import (FractionalOrders, TimePolicy, make_example_1,
-                    make_example_2, make_mesh, spectrum, step_matrix)
+from mtfade import (FractionalOrders, TimePolicy, kappa_ratio_table,
+                    make_example_1, make_example_2, make_mesh, spectrum,
+                    step_matrix)
 
 
 def sweep(spec, policy, sizes):
     print(f"{'M':>5} {'lambda_min':>12} {'lambda_max':>12} "
           f"{'kappa':>10} {'ratio':>7}")
-    prev = None
-    for m in sizes:
-        mesh = make_mesh(spec, m, policy)
-        rep = spectrum(step_matrix(spec, mesh, 1).a_full)
-        ratio = f"{prev / rep.kappa:.3f}" if prev else "-"
-        print(f"{m:>5} {rep.lambda_min:>12.4E} {rep.lambda_max:>12.4E} "
-              f"{rep.kappa:>10.4E} {ratio:>7}")
-        prev = rep.kappa
+    for r in kappa_ratio_table(spec, lambda m: make_mesh(spec, m, policy),
+                               sizes):
+        ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
+        print(f"{r['M']:>5} {r['lambda_min']:>12.4E} "
+              f"{r['lambda_max']:>12.4E} {r['kappa']:>10.4E} {ratio:>7}")
 
 
 def main():

@@ -54,7 +54,7 @@ def main():
               f"{time.perf_counter() - t0:>9.4f}")
 
         print(f"       hierarchy: {hierarchy.n_levels} levels, "
-              f"{hierarchy.stored_entries} stored numbers (< 3M = {3 * m})")
+              f"{hierarchy.stored_entries} stored numbers (< 2M = {2 * m})")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from .toeplitz import SymToeplitz
 from .assembly import (history_weight, initial_state, mass_symbol,
                        rhs_vector, source_moment, step_matrix,
                        stiffness_symbol)
-from .solvers import cf_jacobi_sweep, cg_solve, dense_solve
+from .solvers import cf_jacobi_sweep, cg_solve
 from .amg import (AdaptiveSolver, amg_solve, cg_switch, galerkin_symbol,
                   interp_apply, restrict_apply, setup, two_level_solve,
                   vcycle)
@@ -27,7 +27,7 @@ __all__ = [
     "rhs_vector", "source_moment", "step_matrix", "stiffness_symbol",
     # solvers
     "AdaptiveSolver", "DenseAmg", "amg_solve", "cf_jacobi_sweep",
-    "cg_solve", "cg_switch", "dense_solve", "galerkin_symbol",
+    "cg_solve", "cg_switch", "galerkin_symbol",
     "interp_apply", "restrict_apply", "setup", "two_level_solve", "vcycle",
     # analysis
     "beta0", "class_conditions", "classify", "kappa_ratio_table",

@@ -238,8 +238,6 @@ class AdaptiveSolver:
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh, mats: StepMatrix):
-        self.spec = spec
-        self.mesh = mesh
         self.mats = mats
         self.use_cg = cg_switch(spec, mats.tau, mesh.h)
         self._hierarchy: Optional[AmgHierarchy] = None

@@ -4,6 +4,9 @@ Subcommands reproduce the standard study tables as CSV: `convergence`
 (error/rate sweeps), `condest` (extremal eigenvalues and condition
 numbers), `bench` (per-solver iteration counts and wall times on the
 first-step system), and `solve` (full march, final-time nodal values).
+Each subcommand takes only the flags it reads.  A `--config` file's
+`key = value` lines are read as the flags `--key=value` of the
+subcommand, ahead of the command line's own, which therefore win.
 
 Output is RFC-4180 CSV with a header row; floating values carry six
 significant digits in scientific notation.  Exit codes: 0 success,
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import sys
 import time
 from typing import List, Optional
@@ -30,68 +34,79 @@ from .problem import (FractionalOrders, ProblemSpec, TimePolicy,
 from .solvers import cg_solve
 from .timestepper import SolverFailure, convergence_table, march
 
-DEFAULT_SIZES = (64, 128, 256, 512)
 BENCH_MAXIT = 1000
-EXAMPLES = (1, 2)
-SOLVERS = ("cg", "icamg", "camg-dense-oracle")
-POLICIES = tuple(t.value for t in TimePolicy)
-# The values of the flags that neither the command line nor a config
-# file sets.  The flags themselves default to None, so that a file can
-# fill every flag left unset.
-DEFAULTS = {"example": 1, "alpha": "0.9,0.4", "beta": 0.3, "gamma": 0.8,
-            "policy": TimePolicy.TAU_EQ_H.value, "tol": 1e-12}
+BENCH_SOLVERS = ("cg", "icamg", "camg-dense-oracle")
+# The solvers of a march, mapped to march's `force`: icamg, also when
+# --solver is not given, lets the adaptive driver pick CG or multigrid.
+MARCH_SOLVERS = {"cg": "cg", "icamg": None}
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.5E}"
+def _fmt(x: Optional[float]) -> str:
+    return "" if x is None else f"{float(x):.5E}"
 
 
 def _parse_floats(text: str) -> List[float]:
     try:
         return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad numeric list {text!r}") from None
 
 
 def _parse_sizes(text: str) -> List[int]:
     vals = _parse_floats(text)
     if not vals or not all(v.is_integer() and v >= 4 for v in vals):
-        raise ConfigError(f"sizes must be integers >= 4, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"sizes must be integers >= 4, got {text!r}")
     return [int(v) for v in vals]
 
 
-def _read_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment; keys match flag names."""
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line {raw!r}")
-            key, val = (p.strip() for p in line.split("=", 1))
-            out[key.replace("-", "_")] = val
-    return out
+def _config_flags(path: str) -> List[str]:
+    """The flags `--key=value` of a file's `key = value` lines.  '#'
+    starts a comment; a key is a flag name without its leading dashes,
+    with `_` read as `-`."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    flags = []
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = (p.strip() for p in line.partition("="))
+        if not eq:
+            raise argparse.ArgumentTypeError(f"bad config line {raw!r}")
+        flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 def build_problem(args) -> ProblemSpec:
-    alphas = tuple(args.alpha)
-    orders = FractionalOrders(alphas, tuple(1.0 for _ in alphas),
+    """The problem the flags name.  argparse checks each flag alone;
+    the checks across flags are here, and each raises ValueError."""
+    if "tol" in args and not 0 < args.tol < math.inf:
+        raise ValueError("the tolerance must be positive and finite")
+    if (args.policy == TimePolicy.TAU_CONST.value) != \
+            (args.tau_const is not None):
+        raise ValueError("--tau-const goes with --policy tau-const, "
+                         "and only with it")
+    if args.tau_const is not None and not 0 < args.tau_const < math.inf:
+        raise ValueError("--tau-const must be positive and finite")
+    orders = FractionalOrders(tuple(args.alpha), (1.0,) * len(args.alpha),
                               args.beta, args.gamma)
     if args.example == 1:
+        if args.k1 is not None or args.k2 is not None:
+            raise ValueError("example 1 fixes K1 = 1 and K2 = 2; "
+                             "--k1 and --k2 go with example 2")
         return make_example_1(orders)
+    if args.k1 is None or args.k2 is None:
+        raise ValueError("example 2 needs --k1 and --k2")
     return make_example_2(orders, args.k1, args.k2)
+
+
+def _mesh(args, m: int):
+    return make_mesh(args.spec, m, TimePolicy(args.policy), args.tau_const)
 
 
 @contextlib.contextmanager
@@ -104,12 +119,11 @@ def _csv_out(out: Optional[str]):
 
 
 def cmd_convergence(args) -> int:
-    spec = build_problem(args)
-    policy = TimePolicy(args.policy)
     try:
-        rows = convergence_table(spec, policy, args.sizes, tol=args.tol,
+        rows = convergence_table(args.spec, TimePolicy(args.policy),
+                                 args.sizes, tol=args.tol,
                                  tau_const=args.tau_const,
-                                 force=args.solver if args.solver != "icamg" else None)
+                                 force=MARCH_SOLVERS.get(args.solver))
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -123,14 +137,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_condest(args) -> int:
-    spec = build_problem(args)
-    policy = TimePolicy(args.policy)
-
-    def mesh_for(m):
-        return make_mesh(spec, m, policy, args.tau_const)
-
     try:
-        rows = kappa_ratio_table(spec, mesh_for, args.sizes)
+        rows = kappa_ratio_table(args.spec, lambda m: _mesh(args, m),
+                                 args.sizes)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -167,18 +176,16 @@ def _bench_cell(spec, mesh, solver: str, tol: float):
 
 
 def cmd_bench(args) -> int:
-    spec = build_problem(args)
-    policy = TimePolicy(args.policy)
     solvers = [args.solver] if args.solver else ["cg", "camg-dense-oracle", "icamg"]
     with _csv_out(args.out) as w:
         w.writerow(["M", "solver", "branch", "iterations", "converged",
                     "final_relres", "setup_seconds", "solve_seconds"])
         for m in args.sizes:
-            mesh = make_mesh(spec, m, policy, args.tau_const)
+            mesh = _mesh(args, m)
             for solver in solvers:
                 if solver == "camg-dense-oracle" and m > 4096:
                     continue
-                rep, setup_s, solve_s = _bench_cell(spec, mesh, solver,
+                rep, setup_s, solve_s = _bench_cell(args.spec, mesh, solver,
                                                     args.tol)
                 w.writerow([m, solver, rep.branch, rep.iterations,
                             "yes" if rep.converged else "non-converged",
@@ -188,113 +195,78 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = build_problem(args)
-    policy = TimePolicy(args.policy)
     if len(args.sizes) != 1:
         print("error: solve takes exactly one size", file=sys.stderr)
         return 2
-    mesh = make_mesh(spec, args.sizes[0], policy, args.tau_const)
+    spec = args.spec
+    mesh = _mesh(args, args.sizes[0])
     try:
         res = march(spec, mesh, tol=args.tol,
-                    force=args.solver if args.solver != "icamg" else None)
+                    force=MARCH_SOLVERS.get(args.solver))
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    a, _ = spec.domain
-    xs = mesh.interior_nodes(a)
-    t_final = float(mesh.times[-1])
+    xs = mesh.interior_nodes(spec.domain[0])
+    ue = np.asarray(spec.exact(xs, float(mesh.times[-1])), dtype=np.float64)
     with _csv_out(args.out) as w:
-        if spec.exact is not None:
-            w.writerow(["x", "u_h", "u_exact", "abs_err"])
-            ue = np.asarray(spec.exact(xs, t_final), dtype=np.float64)
-            for x, uh, uex in zip(xs, res.final_state, ue):
-                w.writerow([_fmt(x), _fmt(uh), _fmt(uex),
-                            _fmt(abs(uh - uex))])
-        else:
-            w.writerow(["x", "u_h"])
-            for x, uh in zip(xs, res.final_state):
-                w.writerow([_fmt(x), _fmt(uh)])
+        w.writerow(["x", "u_h", "u_exact", "abs_err"])
+        for x, uh, uex in zip(xs, res.final_state, ue):
+            w.writerow([_fmt(x), _fmt(uh), _fmt(uex), _fmt(abs(uh - uex))])
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="mtfade",
+def make_parsers():
+    """The top-level parser, which reads `--config` and picks the
+    subcommand, and each subcommand's parser, keyed by its name."""
+    top = argparse.ArgumentParser(
+        prog="mtfade", allow_abbrev=False,
         description="Fractional advection-diffusion FE solver experiments")
-    p.add_argument("--config", help="key = value file; flags override it")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("convergence", cmd_convergence),
-                     ("condest", cmd_condest),
-                     ("bench", cmd_bench),
-                     ("solve", cmd_solve)):
-        sp = sub.add_parser(name)
+    top.add_argument("--config", type=_config_flags, default=(),
+                     help="key = value file, read as flags of the "
+                          "subcommand; the command line's flags win")
+    commands = {}
+    for name, fn, solvers in (("convergence", cmd_convergence, MARCH_SOLVERS),
+                              ("condest", cmd_condest, None),
+                              ("bench", cmd_bench, BENCH_SOLVERS),
+                              ("solve", cmd_solve, MARCH_SOLVERS)):
+        sp = commands[name] = argparse.ArgumentParser(
+            prog=f"mtfade {name}", allow_abbrev=False)
         sp.set_defaults(func=fn)
-        sp.add_argument("--example", type=int, choices=EXAMPLES)
-        sp.add_argument("--alpha",
+        sp.add_argument("--example", type=int, choices=(1, 2), default=1)
+        sp.add_argument("--alpha", type=_parse_floats, default="0.9,0.4",
                         help="comma list of Caputo orders, strictly decreasing")
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--k1", type=float, default=None)
-        sp.add_argument("--k2", type=float, default=None)
-        sp.add_argument("--policy", choices=POLICIES)
-        sp.add_argument("--tau-const", type=float, default=None)
-        sp.add_argument("--sizes", default=None,
+        sp.add_argument("--beta", type=float, default=0.3)
+        sp.add_argument("--gamma", type=float, default=0.8)
+        sp.add_argument("--k1", type=float, help="example 2 only")
+        sp.add_argument("--k2", type=float, help="example 2 only")
+        sp.add_argument("--policy", choices=[t.value for t in TimePolicy],
+                        default=TimePolicy.TAU_EQ_H.value)
+        sp.add_argument("--tau-const", type=float,
+                        help="the time step of --policy tau-const")
+        sp.add_argument("--sizes", type=_parse_sizes, default="64,128,256,512",
                         help="comma list of spatial resolutions M")
-        sp.add_argument("--solver", default=None, choices=SOLVERS)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--out", default=None, help="CSV path (default stdout)")
-    return p
-
-
-def _finalize_args(args) -> None:
-    if args.config:
-        overrides = _read_config_file(args.config)
-        for key, val in overrides.items():
-            if key in ("command", "config", "func") or not hasattr(args, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            # Command-line flags win over file values only when the flag
-            # was given; argparse cannot tell, so every flag defaults to
-            # None and the file only fills fields still at None.
-            if getattr(args, key) is None:
-                setattr(args, key, val)
-    for key, val in DEFAULTS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, val)
-    # File values arrive as strings and get the checks argparse gives
-    # the flags.
-    args.example = int(args.example)
-    if args.example not in EXAMPLES:
-        raise ConfigError(f"example must be one of {EXAMPLES}")
-    if args.policy not in POLICIES:
-        raise ConfigError(f"policy must be one of {POLICIES}")
-    if args.solver is not None and args.solver not in SOLVERS:
-        raise ConfigError(f"solver must be one of {SOLVERS}")
-    args.alpha = _parse_floats(args.alpha) if isinstance(args.alpha, str) else args.alpha
-    args.sizes = _parse_sizes(args.sizes) if isinstance(args.sizes, str) else \
-        (list(args.sizes) if args.sizes else list(DEFAULT_SIZES))
-    for key in ("beta", "gamma", "k1", "k2", "tau_const", "tol"):
-        val = getattr(args, key)
-        if isinstance(val, str):
-            setattr(args, key, float(val))
-    if args.example == 2 and (args.k1 is None or args.k2 is None):
-        raise ConfigError("example 2 needs --k1 and --k2")
-    if args.k1 is None:
-        args.k1 = 1.0
-    if args.k2 is None:
-        args.k2 = 2.0
-    if not 0 < args.tol < np.inf:
-        raise ConfigError("tolerance must be positive and finite")
+        if solvers:
+            sp.add_argument("--solver", choices=solvers)
+            sp.add_argument("--tol", type=float, default=1e-12)
+        sp.add_argument("--out", help="CSV path (default stdout)")
+    top.add_argument("command", choices=commands)
+    top.add_argument("flags", nargs=argparse.REMAINDER,
+                     help="the subcommand's flags")
+    return top, commands
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    top, commands = make_parsers()
     try:
-        _finalize_args(args)
-        build_problem(args)  # surface validation errors as config errors
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        cmd = top.parse_args(argv)
+        parser = commands[cmd.command]
+        args = parser.parse_args([*cmd.config, *cmd.flags])
+        try:
+            args.spec = build_problem(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+    except SystemExit as exc:
+        return exc.code
     return args.func(args)
 
 

@@ -228,8 +228,3 @@ def lu_solve_nopivot(lu: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):  # backward
         y[k] = (y[k] - lu[k, k + 1:] @ y[k + 1:]) / lu[k, k]
     return y
-
-
-def dense_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination without pivoting (coarsest-level solver)."""
-    return lu_solve_nopivot(lu_nopivot(A), b)

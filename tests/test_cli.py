@@ -2,11 +2,16 @@
 
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtfade
 from mtfade import cli
 from mtfade.cli import main
 
@@ -135,7 +140,7 @@ class TestSolve:
 class TestConfigAndErrors:
     def test_config_file_fills_unset_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("sizes = 8,16   # small smoke run\nk1 = 1.0\n")
+        cfg.write_text("sizes = 8,16   # small smoke run\nbeta = 0.3\n")
         code, out = run_cli(["--config", str(cfg), "convergence"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
@@ -192,6 +197,16 @@ class TestConfigAndErrors:
         ["solve", "--sizes", "16", "--tol", "nan"],
         ["solve", "--sizes", "16", "--tol", "inf"],
         ["solve", "--sizes", "inf"],
+        ["solve", "--sizes", "16", "--policy", "tau-const"],
+        ["solve", "--sizes", "16", "--tau-const", "0.01"],
+        ["solve", "--sizes", "16", "--policy", "tau-const",
+         "--tau-const", "-0.01"],
+        ["solve", "--sizes", "16", "--k1", "50"],
+        ["solve", "--sizes", "16", "--solver", "camg-dense-oracle"],
+        ["convergence", "--sizes", "8", "--solver", "camg-dense-oracle"],
+        ["condest", "--sizes", "8", "--solver", "cg"],
+        ["condest", "--sizes", "8", "--tol", "1e-8"],
+        ["solve", "--siz", "16"],  # abbreviated flag
     ])
     def test_config_errors_exit_2(self, argv, capsys):
         code, _ = run_cli(argv, capsys)
@@ -199,7 +214,22 @@ class TestConfigAndErrors:
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        for line in ("frobnicate = 7\n", "seed = 7\n"):  # no seed is read
+        # No seed is read, and a key is a full flag name.
+        for line in ("frobnicate = 7\n", "seed = 7\n", "ex = 2\n"):
             cfg.write_text(line)
             code, _ = run_cli(["--config", str(cfg), "convergence"], capsys)
             assert code == 2
+
+
+def test_entry_point_exits_2_without_traceback():
+    # Runs the module as a program, so main() reads sys.argv.
+    src = str(Path(mtfade.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtfade.cli", "solve", "--sizes", "16",
+         "--solver", "camg-dense-oracle"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "invalid choice: 'camg-dense-oracle'" in proc.stderr
