@@ -11,11 +11,12 @@ A coarse level starts from a zero guess, so the part of the cycle from
 it down is a fixed linear map of its right-hand side.  Set-up folds the
 coarse levels of at most TAIL_MAX unknowns into one dense map of at most
 TAIL_MAX^2 entries (AmgHierarchy.tail): the inverse of the coarsest
-matrix from its LAPACK LU factors, then, level by level upwards, the
-cycle's own sweeps and transfers run on the identity (fold).  The cycle
-applies that map with one dense product.  Set-up is therefore O(M) work
-and storage plus a fold of fixed size; each V(1,1)-cycle costs
-O(M log M) through the Toeplitz matvec.
+matrix from its LAPACK LU factors, then, level by level upwards, by
+running the cycle on the identity from that level down.  The cycle is
+written once (_cycle), for vcycle and set-up alike, and applies the map
+with one dense product.  Set-up is therefore O(M) work and storage plus
+a fold of fixed size; each V(1,1)-cycle costs O(M log M) through the
+Toeplitz matvec.
 
 A cycle makes only the products it needs: amg_solve's iteration loop
 (solvers.iterate) hands the true residual it has just checked to the
@@ -125,29 +126,15 @@ def galerkin_symbol(fine_symbol: np.ndarray) -> np.ndarray:
     return s
 
 
-def fold(A: SymToeplitz, coarse_map: np.ndarray) -> np.ndarray:
-    """The sub-cycle from A's level down as one dense matrix.
-
-    A coarse level starts from a zero guess, so its part of the cycle is
-    a fixed linear map of its right-hand side.  It is built by running
-    the cycle's own sweeps and transfers on the identity block, with
-    coarse_map standing for every level below A.
-    """
-    eye = np.eye(A.m)
-    x = cf_jacobi_sweep(A, np.zeros_like(eye), eye, eye)
-    coarse = restrict_apply(eye - A.to_dense() @ x, A.m)
-    x += interp_apply(coarse_map @ coarse, A.m)
-    return cf_jacobi_sweep(A, x, eye)
-
-
 def setup(a0: SymToeplitz) -> AmgHierarchy:
     """Coarsen until at most COARSEST_MAX unknowns remain, then fold the
     coarse levels of at most TAIL_MAX unknowns into one dense map.
 
     The map is built bottom-up: the inverse of the coarsest matrix from
-    its LAPACK LU factors, then one fold() per level above it.  The
-    finest level is never folded, since the cycle starts there from the
-    caller's guess; a hierarchy of one level is its own inverse.
+    its LAPACK LU factors, then, level by level upwards, the cycle run on
+    the identity from that level down.  The finest level is never
+    folded, since the cycle starts there from the caller's guess; a
+    hierarchy of one level is its own inverse.
     """
     if a0.symbol[0] <= 0:
         raise ValueError("matrix diagonal must be positive")
@@ -158,17 +145,36 @@ def setup(a0: SymToeplitz) -> AmgHierarchy:
     if info > 0:
         raise np.linalg.LinAlgError(
             f"coarsest matrix is singular (m={matrices[-1].m})")
-    tail = dgetrs(lu, piv, np.eye(matrices[-1].m))[0]
-    n_smoothed = len(matrices) - 1
-    while n_smoothed > 1 and matrices[n_smoothed - 1].m <= TAIL_MAX:
-        n_smoothed -= 1
-        tail = fold(matrices[n_smoothed], tail)
-    return AmgHierarchy(matrices, n_smoothed, tail)
+    h = AmgHierarchy(matrices, len(matrices) - 1,
+                     dgetrs(lu, piv, np.eye(matrices[-1].m))[0])
+    for j in range(h.n_smoothed - 1, 0, -1):
+        if matrices[j].m > TAIL_MAX:
+            break
+        eye = np.eye(matrices[j].m)
+        h.tail = _cycle(h, j, eye, np.zeros_like(eye), eye)
+        h.n_smoothed = j
+    return h
 
 
 def coarse_solve(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
     """Apply the folded tail of the cycle: one dense product."""
     return h.tail @ b
+
+
+def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: np.ndarray,
+           r: Optional[np.ndarray]) -> np.ndarray:
+    """The V(1,1)-cycle from level j down, on a vector or, on levels with
+    a dense copy, an (m, k) block of columns.  Below the smoothed levels
+    it is the folded tail; x is never written, only the sweep's copy."""
+    if j == h.n_smoothed:
+        return coarse_solve(h, b)
+    A = h.matrices[j]
+    x = cf_jacobi_sweep(A, x, b, r)
+    coarse = restrict_apply(b - A.matvec(x), A.m)
+    # a zero guess, whose residual is its right-hand side
+    x += interp_apply(_cycle(h, j + 1, coarse, np.zeros_like(coarse),
+                             coarse), A.m)
+    return cf_jacobi_sweep(A, x, b)
 
 
 def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
@@ -185,28 +191,13 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
     residual products before restriction and 2 L CF-Jacobi sweeps, whose
     6 L passes take a product each except the first pass of every
     pre-sweep (on the finest level, only when r is given); see
-    cf_jacobi_sweep for what a pass costs there.
+    cf_jacobi_sweep for what a pass costs there.  b, x and r are not
+    written.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (h.matrices[0].m,):
         raise ValueError("right-hand side does not match the finest level")
-    smoothed = h.matrices[: h.n_smoothed]
-    xs, bs = [], []
-    xk = np.asarray(x, dtype=np.float64)
-    bk = b
-    for A in smoothed:
-        xk = cf_jacobi_sweep(A, xk, bk, r)
-        r = bk - A.matvec(xk)
-        xs.append(xk)
-        bs.append(bk)
-        bk = restrict_apply(r, A.m)
-        xk = np.zeros(bk.size)
-        r = bk  # residual of the zero guess
-    xk = coarse_solve(h, bk)
-    for A, xf, bf in zip(reversed(smoothed), reversed(xs), reversed(bs)):
-        xk = xf + interp_apply(xk, A.m)
-        xk = cf_jacobi_sweep(A, xk, bf)
-    return xk
+    return _cycle(h, 0, b, x, r)
 
 
 def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
@@ -252,13 +243,10 @@ class AdaptiveSolver:
               x0: Optional[np.ndarray] = None, force: Optional[str] = None):
         branch = force or ("cg" if self.use_cg else "amg")
         if branch == "cg":
-            x, rep = cg_solve(self.mats.a_full, b, tol, maxit, x0)
-        elif branch == "amg":
-            x, rep = amg_solve(self.hierarchy, b, tol, maxit, x0)
-        else:
-            raise ValueError(f"unknown branch {branch!r}")
-        rep.branch = branch
-        return x, rep
+            return cg_solve(self.mats.a_full, b, tol, maxit, x0)
+        if branch == "amg":
+            return amg_solve(self.hierarchy, b, tol, maxit, x0)
+        raise ValueError(f"unknown branch {branch!r}")
 
 
 class TwoLevelV01:

@@ -10,7 +10,8 @@ subcommand, ahead of the command line's own, which therefore win.
 
 Output is RFC-4180 CSV with a header row; floating values carry six
 significant digits in scientific notation.  Exit codes: 0 success,
-1 solver failure, 2 configuration error.
+1 solver failure, 2 configuration error (an `--out` that cannot be
+opened included), which is found before any solve.
 """
 
 from __future__ import annotations
@@ -84,9 +85,15 @@ def _config_flags(path: str) -> List[str]:
 
 def build_problem(args) -> ProblemSpec:
     """The problem the flags name.  argparse checks each flag alone;
-    the checks across flags are here, and each raises ValueError."""
+    the checks across flags, and of --sizes against the subcommand, are
+    here, and each raises ValueError."""
     if "tol" in args and not 0 < args.tol < math.inf:
         raise ValueError("the tolerance must be positive and finite")
+    if args.func is cmd_solve and len(args.sizes) != 1:
+        raise ValueError("solve takes exactly one size")
+    if args.func is cmd_convergence and any(
+            b <= a for a, b in zip(args.sizes, args.sizes[1:])):
+        raise ValueError("convergence sizes must be ascending")
     if (args.policy == TimePolicy.TAU_CONST.value) != \
             (args.tau_const is not None):
         raise ValueError("--tau-const goes with --policy tau-const, "
@@ -99,26 +106,27 @@ def build_problem(args) -> ProblemSpec:
         if args.k1 is not None or args.k2 is not None:
             raise ValueError("example 1 fixes K1 = 1 and K2 = 2; "
                              "--k1 and --k2 go with example 2")
-        return make_example_1(orders)
-    if args.k1 is None or args.k2 is None:
+        spec = make_example_1(orders)
+    elif args.k1 is None or args.k2 is None:
         raise ValueError("example 2 needs --k1 and --k2")
-    return make_example_2(orders, args.k1, args.k2)
+    else:
+        spec = make_example_2(orders, args.k1, args.k2)
+    if args.tau_const is not None:
+        # Its time mesh is the same at every size: build one to try it.
+        try:
+            make_mesh(spec, args.sizes[0], TimePolicy.TAU_CONST,
+                      args.tau_const)
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"--tau-const {args.tau_const:g} gives no "
+                             f"time mesh: {exc}") from None
+    return spec
 
 
 def _mesh(args, m: int):
     return make_mesh(args.spec, m, TimePolicy(args.policy), args.tau_const)
 
 
-@contextlib.contextmanager
-def _csv_out(out: Optional[str]):
-    """A CSV writer on the file out (closed also if the command raises),
-    or on stdout."""
-    with (open(out, "w", newline="") if out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        yield csv.writer(fh)
-
-
-def cmd_convergence(args) -> int:
+def cmd_convergence(args, w) -> int:
     try:
         rows = convergence_table(args.spec, TimePolicy(args.policy),
                                  args.sizes, tol=args.tol,
@@ -127,27 +135,25 @@ def cmd_convergence(args) -> int:
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with _csv_out(args.out) as w:
-        w.writerow(["M", "N", "h", "tau", "l2_error", "rate_h", "rate_paper"])
-        for r in rows:
-            w.writerow([r["M"], r["N"], _fmt(r["h"]), _fmt(r["tau"]),
-                        _fmt(r["l2_error"]), _fmt(r["rate_h"]),
-                        _fmt(r["rate_steps"])])
+    w.writerow(["M", "N", "h", "tau", "l2_error", "rate_h", "rate_paper"])
+    for r in rows:
+        w.writerow([r["M"], r["N"], _fmt(r["h"]), _fmt(r["tau"]),
+                    _fmt(r["l2_error"]), _fmt(r["rate_h"]),
+                    _fmt(r["rate_steps"])])
     return 0
 
 
-def cmd_condest(args) -> int:
+def cmd_condest(args, w) -> int:
     try:
         rows = kappa_ratio_table(args.spec, lambda m: _mesh(args, m),
                                  args.sizes)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with _csv_out(args.out) as w:
-        w.writerow(["M", "lambda_min", "lambda_max", "kappa", "ratio"])
-        for r in rows:
-            w.writerow([r["M"], _fmt(r["lambda_min"]), _fmt(r["lambda_max"]),
-                        _fmt(r["kappa"]), _fmt(r["ratio"])])
+    w.writerow(["M", "lambda_min", "lambda_max", "kappa", "ratio"])
+    for r in rows:
+        w.writerow([r["M"], _fmt(r["lambda_min"]), _fmt(r["lambda_max"]),
+                    _fmt(r["kappa"]), _fmt(r["ratio"])])
     return 0
 
 
@@ -175,29 +181,25 @@ def _bench_cell(spec, mesh, solver: str, tol: float):
     return rep, setup_s, solve_s
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, w) -> int:
     solvers = [args.solver] if args.solver else ["cg", "camg-dense-oracle", "icamg"]
-    with _csv_out(args.out) as w:
-        w.writerow(["M", "solver", "branch", "iterations", "converged",
-                    "final_relres", "setup_seconds", "solve_seconds"])
-        for m in args.sizes:
-            mesh = _mesh(args, m)
-            for solver in solvers:
-                if solver == "camg-dense-oracle" and m > 4096:
-                    continue
-                rep, setup_s, solve_s = _bench_cell(args.spec, mesh, solver,
-                                                    args.tol)
-                w.writerow([m, solver, rep.branch, rep.iterations,
-                            "yes" if rep.converged else "non-converged",
-                            _fmt(rep.final_relres), _fmt(setup_s),
-                            _fmt(solve_s)])
+    w.writerow(["M", "solver", "branch", "iterations", "converged",
+                "final_relres", "setup_seconds", "solve_seconds"])
+    for m in args.sizes:
+        mesh = _mesh(args, m)
+        for solver in solvers:
+            if solver == "camg-dense-oracle" and m > 4096:
+                continue
+            rep, setup_s, solve_s = _bench_cell(args.spec, mesh, solver,
+                                                args.tol)
+            w.writerow([m, solver, rep.branch, rep.iterations,
+                        "yes" if rep.converged else "non-converged",
+                        _fmt(rep.final_relres), _fmt(setup_s),
+                        _fmt(solve_s)])
     return 0
 
 
-def cmd_solve(args) -> int:
-    if len(args.sizes) != 1:
-        print("error: solve takes exactly one size", file=sys.stderr)
-        return 2
+def cmd_solve(args, w) -> int:
     spec = args.spec
     mesh = _mesh(args, args.sizes[0])
     try:
@@ -208,10 +210,9 @@ def cmd_solve(args) -> int:
         return 1
     xs = mesh.interior_nodes(spec.domain[0])
     ue = np.asarray(spec.exact(xs, float(mesh.times[-1])), dtype=np.float64)
-    with _csv_out(args.out) as w:
-        w.writerow(["x", "u_h", "u_exact", "abs_err"])
-        for x, uh, uex in zip(xs, res.final_state, ue):
-            w.writerow([_fmt(x), _fmt(uh), _fmt(uex), _fmt(abs(uh - uex))])
+    w.writerow(["x", "u_h", "u_exact", "abs_err"])
+    for x, uh, uex in zip(xs, res.final_state, ue):
+        w.writerow([_fmt(x), _fmt(uh), _fmt(uex), _fmt(abs(uh - uex))])
     return 0
 
 
@@ -259,15 +260,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     top, commands = make_parsers()
     try:
         cmd = top.parse_args(argv)
-        parser = commands[cmd.command]
-        args = parser.parse_args([*cmd.config, *cmd.flags])
-        try:
-            args.spec = build_problem(args)
-        except ValueError as exc:
-            parser.error(str(exc))
+        args = commands[cmd.command].parse_args([*cmd.config, *cmd.flags])
     except SystemExit as exc:
         return exc.code
-    return args.func(args)
+    # The checks across flags and the opening of --out come before any
+    # solve, so a run that cannot finish fails at once.
+    try:
+        args.spec = build_problem(args)
+        out = (open(args.out, "w", newline="") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except (ValueError, OSError) as exc:
+        print(f"mtfade {cmd.command}: error: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:  # closed also if the command raises
+        return args.func(args, csv.writer(fh))
 
 
 if __name__ == "__main__":

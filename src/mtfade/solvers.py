@@ -16,12 +16,12 @@ from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
 # and after each coarse correction.
 COARSEST_MAX = 8
 # The Toeplitz hierarchy folds its coarse levels of at most TAIL_MAX
-# unknowns into one dense map at set-up (amg.fold).  Measured at M = 256
-# with one BLAS thread on a shared 2-core x86-64 host, against folding
-# nothing: this cut adds about 90 us to a 60 us set-up and takes 15% off
-# each V-cycle; a cut of 31 would add another 95 us for another 17%.
-# The set-up runs again at every multigrid step of a graded time mesh,
-# so the cut stays at 15.
+# unknowns into one dense map at set-up, by running the cycle on the
+# identity (amg.setup).  Measured at M = 256 with one BLAS thread on a
+# shared 2-core x86-64 host, against folding nothing: this cut adds
+# about 90 us to a 60 us set-up and takes 15% off each V-cycle; a cut of
+# 31 would add another 95 us for another 17%.  The set-up runs again at
+# every multigrid step of a graded time mesh, so the cut stays at 15.
 TAIL_MAX = 15
 _FCF = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
 

@@ -322,6 +322,20 @@ class TestVcycleSolve:
             vcycle(h, b, np.zeros(A.m))  # no residual handed in
             assert len(calls) == per_cycle + (A.m > DENSE_MATVEC_CUTOFF)
 
+    # 8: the cycle is the one-level direct solve; 256: every level has a
+    # dense copy; 1024: the finest level uses the FFT product.
+    @pytest.mark.parametrize("m", [8, 256, 1024])
+    def test_leaves_its_arguments_unchanged(self, m):
+        A, b = first_step_system(m)
+        h = setup(A)
+        x = np.random.default_rng(m).standard_normal(A.m)
+        r = b - A.matvec(x)
+        before = [v.copy() for v in (b, x, r)]
+        vcycle(h, b, x, r)
+        vcycle(h, b, x)
+        for v, w in zip((b, x, r), before):
+            assert np.array_equal(v, w)
+
     def test_zero_rhs(self):
         _, _, mats = model_matrix(m=64)
         h = setup(mats.a_full)

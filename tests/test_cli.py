@@ -207,10 +207,36 @@ class TestConfigAndErrors:
         ["condest", "--sizes", "8", "--solver", "cg"],
         ["condest", "--sizes", "8", "--tol", "1e-8"],
         ["solve", "--siz", "16"],  # abbreviated flag
+        ["convergence", "--sizes", "32,16"],  # not ascending
+        ["solve", "--sizes", "16", "--policy", "tau-const",
+         "--tau-const", "1e-300"],  # 2e299 steps: no array that long
     ])
     def test_config_errors_exit_2(self, argv, capsys):
-        code, _ = run_cli(argv, capsys)
+        code = main(argv)
+        lines = capsys.readouterr().err.splitlines()
         assert code == 2
+        # one line, or argparse's usage and then its one line
+        assert len(lines) == 1 or lines[0].startswith("usage: ")
+        assert re.match(rf"mtfade {argv[0]}: error: ", lines[-1])
+
+    @pytest.mark.parametrize("command",
+                             ["convergence", "condest", "bench", "solve"])
+    def test_unopenable_out_exits_2_before_any_solve(self, command,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("convergence_table", "kappa_ratio_table",
+                     "_bench_cell", "march"):
+            monkeypatch.setattr(cli, name, no_solve)
+        missing = tmp_path / "missing"
+        code = main([command, "--sizes", "16",
+                     "--out", str(missing / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and not missing.exists()
+        assert err.startswith(f"mtfade {command}: error: ")
+        assert err.count("\n") == 1
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
