@@ -4,18 +4,12 @@ This is the paper's algorithm, and it has no settings.  The hierarchy
 uses a stride-2 C/F splitting, half-weight interpolation (every nonzero
 transfer weight is 1/2), and a closed-form Galerkin convolution that
 keeps every coarse-level matrix symmetric Toeplitz; it coarsens until at
-most COARSEST_MAX = 8 unknowns remain.  Smoothing is one CF-Jacobi sweep
-with weight 1 (see cf_jacobi_sweep).
-
-A coarse level starts from a zero guess, so the part of the cycle from
-it down is a fixed linear map of its right-hand side.  Set-up folds the
-coarse levels of at most TAIL_MAX unknowns into one dense map of at most
-TAIL_MAX^2 entries (AmgHierarchy.tail): the inverse of the coarsest
-matrix from its LAPACK LU factors, then, level by level upwards, by
-running the cycle on the identity from that level down.  The cycle is
-written once (_cycle), for vcycle and set-up alike, and applies the map
-with one dense product.  Set-up is therefore O(M) work and storage plus
-a fold of fixed size; each V(1,1)-cycle costs O(M log M) through the
+most COARSEST_MAX = 15 unknowns remain, as the dense oracle (camg_dense)
+does.  Set-up inverts that coarsest level once from its LAPACK LU
+factors (solvers.coarsest_inverse), so the cycle's direct solve there is
+one dense product.  Smoothing is one CF-Jacobi sweep with weight 1 (see
+cf_jacobi_sweep).  Set-up is therefore O(M) work and storage plus an
+inverse of fixed size; each V(1,1)-cycle costs O(M log M) through the
 Toeplitz matvec.
 
 A cycle makes only the products it needs: amg_solve's iteration loop
@@ -41,21 +35,19 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .assembly import StepMatrix
 from .problem import Mesh, ProblemSpec
 from .camg_dense import direct_interp
-from .solvers import (COARSEST_MAX, TAIL_MAX, cf_jacobi_sweep, cg_solve,
-                      iterate, lu_nopivot, lu_solve_nopivot)
+from .solvers import (COARSEST_MAX, cf_jacobi_sweep, cg_solve,
+                      coarsest_inverse, iterate, lu_nopivot, lu_solve_nopivot)
 from .toeplitz import SymToeplitz
 
 
 @dataclass
 class AmgHierarchy:
     matrices: List[SymToeplitz]  # every level, finest first
-    n_smoothed: int  # the levels the cycle smooths, matrices[:n_smoothed]
-    tail: np.ndarray  # the levels below them, folded into one dense map
+    coarsest_inv: np.ndarray  # the inverse of matrices[-1]
 
     @property
     def n_levels(self):
@@ -71,14 +63,13 @@ def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
     """Prolongation: inject C-values, F-values are half-weight averages.
 
     Boundary F-points with a single C-neighbour get one-sided weight 1/2,
-    which keeps the Galerkin coarse matrix exactly Toeplitz.  An (mc, k)
-    block is interpolated column by column.
+    which keeps the Galerkin coarse matrix exactly Toeplitz.
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     mc = m_fine // 2
-    if coarse.shape[:1] != (mc,):
+    if coarse.shape != (mc,):
         raise ValueError(f"expected coarse vector of length {mc}, got {coarse.shape}")
-    fine = np.zeros((m_fine,) + coarse.shape[1:])
+    fine = np.zeros(m_fine)
     fine[1::2] = coarse
     f = fine[0::2]  # F-point 2j sits between C-values j - 1 and j
     f[:mc] = coarse
@@ -88,10 +79,9 @@ def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
 
 
 def restrict_apply(fine: np.ndarray, m_fine: int) -> np.ndarray:
-    """Restriction: the transpose of interp_apply, column by column on an
-    (m_fine, k) block."""
+    """Restriction: the transpose of interp_apply."""
     fine = np.asarray(fine, dtype=np.float64)
-    if fine.shape[:1] != (m_fine,):
+    if fine.shape != (m_fine,):
         raise ValueError(f"expected fine vector of length {m_fine}, got {fine.shape}")
     mc = m_fine // 2
     coarse = fine[0 : 2 * mc : 2].copy()  # left F-neighbour of C-point j
@@ -127,46 +117,27 @@ def galerkin_symbol(fine_symbol: np.ndarray) -> np.ndarray:
 
 
 def setup(a0: SymToeplitz) -> AmgHierarchy:
-    """Coarsen until at most COARSEST_MAX unknowns remain, then fold the
-    coarse levels of at most TAIL_MAX unknowns into one dense map.
-
-    The map is built bottom-up: the inverse of the coarsest matrix from
-    its LAPACK LU factors, then, level by level upwards, the cycle run on
-    the identity from that level down.  The finest level is never
-    folded, since the cycle starts there from the caller's guess; a
-    hierarchy of one level is its own inverse.
-    """
+    """Coarsen until at most COARSEST_MAX unknowns remain, then invert the
+    coarsest level (solvers.coarsest_inverse, which raises LinAlgError
+    when it is singular).  A hierarchy of one level is a direct solve."""
     if a0.symbol[0] <= 0:
         raise ValueError("matrix diagonal must be positive")
     matrices = [a0]
     while matrices[-1].m > COARSEST_MAX:
         matrices.append(SymToeplitz(galerkin_symbol(matrices[-1].symbol)))
-    lu, piv, info = dgetrf(matrices[-1].to_dense())
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"coarsest matrix is singular (m={matrices[-1].m})")
-    h = AmgHierarchy(matrices, len(matrices) - 1,
-                     dgetrs(lu, piv, np.eye(matrices[-1].m))[0])
-    for j in range(h.n_smoothed - 1, 0, -1):
-        if matrices[j].m > TAIL_MAX:
-            break
-        eye = np.eye(matrices[j].m)
-        h.tail = _cycle(h, j, eye, np.zeros_like(eye), eye)
-        h.n_smoothed = j
-    return h
+    return AmgHierarchy(matrices, coarsest_inverse(matrices[-1].to_dense()))
 
 
 def coarse_solve(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
-    """Apply the folded tail of the cycle: one dense product."""
-    return h.tail @ b
+    """The direct solve on the coarsest level: one dense product."""
+    return h.coarsest_inv @ b
 
 
 def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: np.ndarray,
            r: Optional[np.ndarray]) -> np.ndarray:
-    """The V(1,1)-cycle from level j down, on a vector or, on levels with
-    a dense copy, an (m, k) block of columns.  Below the smoothed levels
-    it is the folded tail; x is never written, only the sweep's copy."""
-    if j == h.n_smoothed:
+    """The V(1,1)-cycle from level j down; x is never written, only the
+    sweep's copy."""
+    if j == len(h.matrices) - 1:
         return coarse_solve(h, b)
     A = h.matrices[j]
     x = cf_jacobi_sweep(A, x, b, r)
@@ -181,11 +152,11 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
            r: Optional[np.ndarray] = None) -> np.ndarray:
     """One V(1,1)-cycle: CF-Jacobi pre-smooth, coarse correction, post-smooth.
 
-    The levels matrices[:n_smoothed] are smoothed; the rest are applied
-    as the dense map folded at set-up, so a hierarchy of one level is a
-    direct solve.  r, when given, is the finest-level residual b - A x
-    the caller has already computed; the first smoothing pass uses it
-    instead of a product.  Coarse levels start from a zero guess, whose
+    The levels matrices[:-1] are smoothed; the coarsest is solved by its
+    inverse from set-up, so a hierarchy of one level is a direct solve.
+    r, when given, is the finest-level residual b - A x the caller has
+    already computed; the first smoothing pass uses it instead of a
+    product.  Coarse levels start from a zero guess, whose
     residual is the restricted right-hand side itself, so they make no
     product with it either.  On L smoothed levels a cycle makes L
     residual products before restriction and 2 L CF-Jacobi sweeps, whose

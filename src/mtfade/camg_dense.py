@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .solvers import (COARSEST_MAX, cf_jacobi_sweep, iterate, lu_nopivot,
-                      lu_solve_nopivot)
+from .solvers import (COARSEST_MAX, cf_jacobi_sweep, coarsest_inverse,
+                      iterate)
 
 _DENSE_ORACLE_CAP = 4096
 
@@ -48,25 +48,25 @@ def direct_interp(A: np.ndarray) -> sp.csr_matrix:
 class DenseAmg:
     """Classical AMG hierarchy on dense matrices (stride-2 splitting),
     coarsened like the Toeplitz one until at most COARSEST_MAX unknowns
-    remain."""
+    remain, whose matrix it inverts the same way."""
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=np.float64)
         if A.shape[0] > _DENSE_ORACLE_CAP:
             raise ValueError(
                 f"dense oracle capped at {_DENSE_ORACLE_CAP} unknowns")
-        self.matrices = [A]  # finest first; the last one is eliminated
+        self.matrices = [A]  # finest first; the last one is inverted
         self.prolongs = []  # one per smoothed level
         while self.matrices[-1].shape[0] > COARSEST_MAX:
             mat = self.matrices[-1]
             P = direct_interp(mat)
             self.prolongs.append(P)
             self.matrices.append(P.T @ (P.T @ mat.T).T)  # P^T A P, O(M^2)
-        self._lu = lu_nopivot(self.matrices[-1])
+        self._coarsest_inv = coarsest_inverse(self.matrices[-1])
 
     def _vcycle(self, level: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         if level == len(self.prolongs):
-            return lu_solve_nopivot(self._lu, b)
+            return self._coarsest_inv @ b
         A, P = self.matrices[level], self.prolongs[level]
         x = cf_jacobi_sweep(A, x, b)
         r = b - A @ x

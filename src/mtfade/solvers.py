@@ -1,5 +1,5 @@
-"""The iteration driver, the CF-Jacobi smoother, conjugate gradients, and
-the pivot-free dense solve."""
+"""The iteration driver, the CF-Jacobi smoother, conjugate gradients, the
+multigrid's coarsest-level inverse, and the pivot-free dense solve."""
 
 from __future__ import annotations
 
@@ -7,22 +7,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
 
 # The paper's multigrid, which has no settings: both hierarchies coarsen
-# until at most COARSEST_MAX unknowns remain and solve that level
-# directly, and smooth with one CF-Jacobi sweep (F, C, F passes) before
-# and after each coarse correction.
-COARSEST_MAX = 8
-# The Toeplitz hierarchy folds its coarse levels of at most TAIL_MAX
-# unknowns into one dense map at set-up, by running the cycle on the
-# identity (amg.setup).  Measured at M = 256 with one BLAS thread on a
-# shared 2-core x86-64 host, against folding nothing: this cut adds
-# about 90 us to a 60 us set-up and takes 15% off each V-cycle; a cut of
-# 31 would add another 95 us for another 17%.  The set-up runs again at
-# every multigrid step of a graded time mesh, so the cut stays at 15.
-TAIL_MAX = 15
+# until at most COARSEST_MAX unknowns remain, invert that level once from
+# its LAPACK LU factors (coarsest_inverse), and smooth with one CF-Jacobi
+# sweep (F, C, F passes) before and after each coarse correction.
+# Measured at M = 256 with one BLAS thread on a shared 2-core x86-64
+# host, set-up takes a median 50 us with a coarsest size of 15 and 59 us
+# with 31, whose cycle is about 16% cheaper (one level fewer to smooth);
+# 31 has not been measured across whole marches, so the size stays 15.
+COARSEST_MAX = 15
 _FCF = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
 
 
@@ -127,8 +124,7 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     x, r = b).  The other two passes take one FFT product each, except
     on an operator with a dense copy D (a dense array, or a SymToeplitz
     up to DENSE_MATVEC_CUTOFF), where they compute only the residual rows
-    they relax, D[s] @ x: half a product.  With a dense copy, x and b may
-    also be (m, k) blocks, relaxed column by column along axis 0.
+    they relax, D[s] @ x: half a product.
     """
     d = A.diagonal()
     per_row = isinstance(d, np.ndarray)  # a dense array's own diagonal
@@ -137,7 +133,6 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     x = np.array(x, dtype=np.float64)
     w = 1.0 / d
     if per_row:
-        w = w.reshape(w.shape + (1,) * (x.ndim - 1))
         dense = A
     else:
         dense = A.to_dense() if A.m <= DENSE_MATVEC_CUTOFF else None
@@ -155,18 +150,18 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
              maxit: int = 1000, x0: np.ndarray | None = None):
     """Unpreconditioned CG on an SPD Toeplitz matrix.
 
-    Each step of iterate() runs the CG recurrence from the true residual
-    (p = r) until the recurrence residual drops to tol * ||b|| or to eps
-    times that true residual (below which the true residual, from a far
-    warm start, no longer follows it), a search direction has p.Tp not
-    positive and finite (as after an underflow at the rounding floor),
-    or the budget runs out.  The recurrence residual therefore only
-    proposes convergence: iterate() confirms it on b - T x, and
-    otherwise CG restarts from that true residual.  A step that cannot
-    take a single iteration is a breakdown.  When r.r overflows (a warm
-    start far larger than the solution), that step instead solves
-    T d = r for the correction d from zero, with r scaled by the power
-    of two of max|r| (exact), and adds d scaled back to x.
+    Each step of iterate() solves T d = r for the correction d from zero
+    and returns x + d.  r is first scaled by the power of two of max|r|
+    (exact), so r.r cannot overflow however far the warm start lies, and
+    d is scaled back.  The recurrence (p = r) runs until its residual
+    drops to tol * ||b|| or to eps times the true residual it started
+    from (below which the true residual, from a far warm start, no
+    longer follows it), a search direction has p.Tp not positive and
+    finite (as after an underflow at the rounding floor), or the budget
+    runs out.  The recurrence residual therefore only proposes
+    convergence: iterate() confirms it on b - T x, and otherwise CG
+    restarts from that true residual.  A step that cannot take a single
+    iteration is a breakdown.
     """
     def recurrence(x, r, rr, budget, bnorm):
         p = r.copy()
@@ -187,18 +182,25 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
         return x, budget
 
     def step(b, x, r, budget):
-        bnorm = np.linalg.norm(b)
-        with np.errstate(over="ignore"):
-            rr = float(r @ r)
-        if math.isfinite(rr):
-            return recurrence(x, r, rr, budget, bnorm)
         e = math.frexp(float(np.max(np.abs(r))))[1]
         r = np.ldexp(r, -e)
         d, k = recurrence(np.zeros_like(x), r, float(r @ r), budget,
-                          math.ldexp(bnorm, -e))
+                          math.ldexp(np.linalg.norm(b), -e))
         return x + np.ldexp(d, e), k
 
     return iterate(T, b, step, tol, maxit, x0, "cg")
+
+
+def coarsest_inverse(A: np.ndarray) -> np.ndarray:
+    """The inverse of a multigrid's coarsest matrix A (dense), from its
+    LAPACK LU factors with partial pivoting, so that the direct solve of
+    every cycle is one dense product.  Raises LinAlgError when A is
+    singular."""
+    lu, piv, info = dgetrf(A)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"coarsest matrix is singular (m={len(A)})")
+    return dgetrs(lu, piv, np.eye(len(A)))[0]
 
 
 def lu_nopivot(A: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ which needs O(m) memory.  Matrix-vector products go through a circulant
 embedding of size >= 2m (rounded up to a power of two) and cost
 O(m log m); the spectrum of the embedding is computed once and cached.
 Up to DENSE_MATVEC_CUTOFF the product uses a cached dense copy instead,
-which is faster at those sizes and also takes an (m, k) block.
+which is faster at those sizes.
 """
 
 from __future__ import annotations
@@ -51,16 +51,12 @@ class SymToeplitz:
         return pad, np.fft.rfft(col)
 
     def matvec(self, x):
-        """Return T @ x: a cached dense product up to DENSE_MATVEC_CUTOFF,
-        the cached circulant spectrum above it.  On the dense path x may
-        also be an (m, k) block, multiplied column by column."""
+        """Return T @ x for a vector x: a cached dense product up to
+        DENSE_MATVEC_CUTOFF, the cached circulant spectrum above it."""
         x = np.asarray(x, dtype=np.float64)
-        dense = self.m <= DENSE_MATVEC_CUTOFF
-        if x.shape[:1] != (self.m,) or x.ndim > 1 + dense:
-            raise ValueError(
-                f"expected a vector of length {self.m} (or, up to m = "
-                f"{DENSE_MATVEC_CUTOFF}, an ({self.m}, k) block), got {x.shape}")
-        if dense:
+        if x.shape != (self.m,):
+            raise ValueError(f"expected vector of length {self.m}, got {x.shape}")
+        if self.m <= DENSE_MATVEC_CUTOFF:
             return self.to_dense() @ x
         if self._spectrum is None:
             self._pad, self._spectrum = self._embed_spectrum()

@@ -9,10 +9,10 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     cg_solve, cg_switch, galerkin_symbol, interp_apply,
                     make_example_1, make_mesh, restrict_apply, setup,
                     step_matrix, two_level_solve, vcycle)
-from mtfade.amg import AdaptiveSolver
+from mtfade.amg import AdaptiveSolver, coarse_solve
 from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
-from mtfade.solvers import TAIL_MAX, lu_nopivot, lu_solve_nopivot
+from mtfade.solvers import COARSEST_MAX, lu_nopivot, lu_solve_nopivot
 from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
 
@@ -32,8 +32,8 @@ def first_step_system(m):
 
 # The V-cycle as first written, kept as the reference for the fast one:
 # a full residual before every smoothing pass, products with the zero
-# guess of the coarse levels, index-array transfers, a pivot-free
-# coarsest solve and no folded tail.
+# guess of the coarse levels, index-array transfers and a pivot-free
+# coarsest solve.
 
 def reference_interp(coarse, m_fine):
     fine = np.empty(m_fine)
@@ -132,23 +132,15 @@ class TestTransfers:
             assert np.array_equal(restrict_apply(yf, m),
                                   reference_restrict(yf, m))
 
-    def test_blocks_are_transferred_column_by_column(self):
-        rng = np.random.default_rng(25)
-        for m in (3, 7, 8, 15, 33):
-            xc = rng.standard_normal((m // 2, 4))
-            yf = rng.standard_normal((m, 4))
-            assert np.array_equal(
-                interp_apply(xc, m),
-                np.column_stack([interp_apply(c, m) for c in xc.T]))
-            assert np.array_equal(
-                restrict_apply(yf, m),
-                np.column_stack([restrict_apply(c, m) for c in yf.T]))
-
     def test_shape_guards(self):
         with pytest.raises(ValueError):
             interp_apply(np.zeros(4), 7)
         with pytest.raises(ValueError):
             restrict_apply(np.zeros(6), 7)
+        with pytest.raises(ValueError):  # vectors only, no blocks
+            interp_apply(np.zeros((3, 2)), 7)
+        with pytest.raises(ValueError):
+            restrict_apply(np.zeros((7, 2)), 7)
 
 
 class TestGalerkinSymbol:
@@ -185,39 +177,45 @@ class TestGalerkinSymbol:
 
 class TestSetup:
     def test_level_counts_and_storage(self):
-        # M - 1 = 2^k - 1 unknowns halve to 2^(k-1) - 1 down to 7.  At
-        # M = 8 the finest matrix is the coarsest: there is no smoothing
-        # level, and one cycle is a direct solve.
-        for m in (8, 64, 512, 32768):
+        # M - 1 = 2^k - 1 unknowns halve to 2^(k-1) - 1 down to 15.  At
+        # M = 8 and 16 the finest matrix is the coarsest: there is no
+        # smoothing level, and one cycle is a direct solve.
+        for m in (8, 16, 64, 512, 32768):
             A, b = first_step_system(m)
             h = setup(A)
             k = m.bit_length() - 1
-            sizes = [2 ** j - 1 for j in range(k, 2, -1)]
+            sizes = [2 ** j - 1 for j in range(k, 3, -1)] or [m - 1]
             assert [T.m for T in h.matrices] == sizes
-            assert h.n_levels == k - 2
+            assert h.n_levels == max(k - 3, 1)
             assert h.stored_entries == sum(sizes) <= 2 * m
-            if m == 8:
+            if m <= 16:
                 x, rep = amg_solve(h, b, tol=1e-300, maxit=1)
                 assert rep.iterations == 1
                 want = np.linalg.solve(A.to_dense(), b)
                 assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
 
-    # 8: one level, its own inverse; 16: the tail is the coarsest level
-    # alone, since the finest is never folded; from 32 on the levels of 15
-    # and 7 unknowns are folded.
+    # 8 and 16: the finest level is the coarsest; from 32 on the coarsest
+    # has 15 unknowns.
     @pytest.mark.parametrize("m", [8, 16, 32, 64, 256, 4096])
-    def test_tail_is_the_folded_sub_cycle(self, m):
+    def test_coarsest_inverse(self, m):
         A, _ = first_step_system(m)
         h = setup(A)
-        sizes = [T.m for T in h.matrices]
-        cycled = [k for k in sizes[1:] if k > TAIL_MAX]
-        assert h.n_smoothed == (len(cycled) + 1 if m > 8 else 0)
-        below = h.matrices[h.n_smoothed:]
-        eye = np.eye(below[0].m)
-        want = np.column_stack([reference_cycle(below, e, np.zeros_like(e))
-                                for e in eye])
-        assert h.tail.shape == want.shape
-        assert np.abs(h.tail - want).max() <= 1e-12 * np.abs(want).max()
+        C = h.matrices[-1]
+        assert C.m == min(m - 1, COARSEST_MAX)
+        err = h.coarsest_inv @ C.to_dense() - np.eye(C.m)
+        assert np.abs(err).max() <= 1e-12
+
+    # The constant is shared, so the dense oracle stops on the same size.
+    @pytest.mark.parametrize("m", [16, 64, 512])
+    def test_same_coarsest_size_as_the_dense_oracle(self, m):
+        A, _ = first_step_system(m)
+        h = setup(A)
+        C = h.matrices[-1]
+        assert DenseAmg(A.to_dense()).matrices[-1].shape == (C.m, C.m)
+        b = np.random.default_rng(m).standard_normal(C.m)
+        want = np.linalg.solve(C.to_dense(), b)
+        got = coarse_solve(h, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
@@ -287,7 +285,7 @@ class TestVcycleSolve:
         # products on each smoothed level above DENSE_MATVEC_CUTOFF (three
         # per CF-Jacobi sweep, two sweeps, the pre-sweep's first pass
         # reusing a known residual).  Below the cutoff the sweeps work on
-        # the dense copy, and the folded tail is one dense product, so
+        # the dense copy, and the coarsest solve is one dense product, so
         # neither calls matvec.  Each smoothed level is swept twice.  At
         # M = 256 every level has a dense copy; at 1024 the two finest
         # use the FFT.
@@ -308,7 +306,7 @@ class TestVcycleSolve:
         monkeypatch.setattr(SymToeplitz, "matvec", counted)
         monkeypatch.setattr(mtfade.amg, "cf_jacobi_sweep", counted_sweep)
         for (A, b), h in zip(systems, hierarchies):
-            smoothed = [T.m for T in h.matrices[: h.n_smoothed]]
+            smoothed = [T.m for T in h.matrices[:-1]]
             n_fft = sum(k > DENSE_MATVEC_CUTOFF for k in smoothed)
             per_cycle = len(smoothed) + 5 * n_fft
             calls.clear()
@@ -455,8 +453,8 @@ def test_tiny_rhs_is_solved_with_its_true_relres(solver, k):
 def test_huge_warm_start_has_a_finite_residual_norm(k):
     # b = 10^k b0 with a warm start of ones: after iterate's scaling of b
     # to max|b| ~ 1, x0 is about 10^-k, so r.r overflows although r is
-    # finite.  The multigrid solves it, and so does CG, which runs such
-    # a restart on the correction with r scaled by a power of two.
+    # finite.  The multigrid solves it, and so does CG, whose every
+    # restart solves for the correction with r scaled by a power of two.
     spec, mesh, mats = model_matrix(m=64)
     A = mats.a_full
     u0 = initial_state(spec, mesh)[None]

@@ -80,21 +80,6 @@ class TestCfJacobi:
             with pytest.raises(ValueError):
                 cf_jacobi_sweep(A, np.zeros(4), np.ones(4))
 
-    def test_block_is_swept_column_by_column(self):
-        # The folded tail of the multigrid is built from (m, k) blocks.
-        T = spd_toeplitz(30, seed=8)
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((30, 4))
-        b = rng.standard_normal((30, 4))
-        for A in (T, T.to_dense()):
-            for r in (None, b - T.to_dense() @ x):
-                got = cf_jacobi_sweep(A, x, b, r)
-                want = np.column_stack([
-                    cf_jacobi_sweep(A, x[:, j], b[:, j],
-                                    None if r is None else r[:, j])
-                    for j in range(4)])
-                assert np.allclose(got, want, rtol=1e-13, atol=0)
-
     def test_input_left_untouched(self):
         T = spd_toeplitz(10, seed=7)
         x = np.ones(10)
