@@ -3,8 +3,8 @@ advection-diffusion equations, with Toeplitz/FFT kernels and an adaptive
 algebraic multigrid.
 """
 
-from .problem import (FractionalOrders, Mesh, ProblemSpec, TimePolicy,
-                      make_example_1, make_example_2, make_mesh)
+from .problem import (FractionalOrders, Mesh, ProblemSpec, SeparableSource,
+                      TimePolicy, make_example_1, make_example_2, make_mesh)
 from .toeplitz import SymToeplitz
 from .assembly import (history_weight, initial_state, mass_symbol,
                        rhs_vector, source_moment, step_matrix,
@@ -20,7 +20,7 @@ from .timestepper import SolverFailure, convergence_table, l2_error, march
 
 __all__ = [
     # problem
-    "FractionalOrders", "Mesh", "ProblemSpec", "TimePolicy",
+    "FractionalOrders", "Mesh", "ProblemSpec", "SeparableSource", "TimePolicy",
     "make_example_1", "make_example_2", "make_mesh",
     # kernels and assembly
     "SymToeplitz", "history_weight", "initial_state", "mass_symbol",

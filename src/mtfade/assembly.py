@@ -184,6 +184,16 @@ def _space_rule(a: float, h: float, m: int, nx: int):
     return pts, weigh
 
 
+@functools.lru_cache(maxsize=8)
+def _space_moments(terms, a: float, h: float, m: int, nx: int):
+    """The moments weigh @ p_i(points) of each spatial part p_i of a
+    separable source's terms, as a read-only (terms x m-1) array."""
+    pts, weigh = _space_rule(a, h, m, nx)
+    moments = np.array([weigh @ p(pts) for _, p in terms])
+    moments.setflags(write=False)
+    return moments
+
+
 def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
                   nx: int = 4) -> np.ndarray:
     """Moments of the source against each hat function over one time slab.
@@ -191,17 +201,30 @@ def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
     Entry l is the integral of f * phi_l over (x_{l-1}, x_{l+1}) x
     (t_{n-1}, t_n), by tensor Gauss-Legendre quadrature with nx points
     per panel in space and 4 nodes in time.  The spatial rule is built
-    once per (a, h, m, nx); each call makes 4 vectorised source calls
-    over all its points and one sparse product.
+    once per (a, h, m, nx).
+
+    A source that states its terms, f = sum_i g_i(t) p_i(x) (see
+    problem.SeparableSource), has the spatial moments of its p_i cached
+    once per mesh; a step then evaluates each g_i once on the 4 time
+    nodes and takes one (terms x m-1) product.  Any other source is a
+    callback: each step makes 4 vectorised source(x, t) calls over all
+    the points and one sparse product.
     """
     if not 1 <= n <= mesh.n_steps:
         raise ValueError(f"time level {n} outside 1..{mesh.n_steps}")
     a, _ = spec.domain
-    pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m, nx)
     t0, t1 = mesh.times[n - 1], mesh.times[n]
     gt, wt = _gauss_legendre(4)
     t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
     t_weights = 0.5 * (t1 - t0) * wt
+    # an attribute, not a type: a wrapper that copies the callable's
+    # __dict__ (functools.wraps) keeps the cached path
+    terms = getattr(spec.source, "terms", None)
+    if terms is not None:
+        moments = _space_moments(terms, float(a), float(mesh.h), mesh.m, nx)
+        slab = np.array([t_weights @ g(t_nodes) for g, _ in terms])
+        return slab @ moments
+    pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m, nx)
     ft = np.zeros(pts.size)
     for tq, twq in zip(t_nodes, t_weights):
         ft += twq * np.asarray(spec.source(pts, tq), dtype=np.float64)
@@ -218,7 +241,8 @@ def history_weight(alpha: float, n: int, k, mesh: Mesh):
     g_j = (t_n - t_j)^e - (t_{n-1} - t_j)^e, the weight is
     (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)); g is taken once over
     j = min(k)-1 .. max(k), so a row of weights costs two arrays of
-    powers.
+    powers.  rhs_vector calls it on graded meshes only; a uniform mesh
+    reads its weights from one lag row (_lag_row).
     """
     k = np.asarray(k)
     lo, hi = int(k.min()), int(k.max())
@@ -229,6 +253,50 @@ def history_weight(alpha: float, n: int, k, mesh: Mesh):
     g = (mesh.times[n] - t) ** e - (mesh.times[n - 1] - t) ** e
     num = (g[:-1] - g[1:])[k - lo]
     return num / (mesh.taus[k - 1] * gamma_fn(3.0 - alpha))
+
+
+@functools.lru_cache(maxsize=8)
+def _lag_row(orders, tau: float, n_steps: int):
+    """The memory weights of a uniform mesh by lag: (w, back), read-only.
+
+    With uniform steps the weight of level k at level n depends on the
+    lag L = n - k alone: tau^(1-alpha) ((L+1)^e - 2 L^e + (L-1)^e) /
+    Gamma(3-alpha), e = 2 - alpha.  It is taken as history_weight takes
+    it, the second difference of t^e at the elapsed times L tau over
+    tau Gamma(3-alpha), from one array of powers per order.  w[L] sums
+    it over the temporal orders for L = 0 .. N-1 (w[0] = 0: no level
+    has lag 0).  back[i] = w[N-2-i] - w[N-1-i], so the differenced row
+    of step n is w[n-1] followed by back[N-n:].
+    """
+    lag_times = tau * np.arange(n_steps + 1)
+    w = np.zeros(n_steps)
+    for alpha, c in zip(orders.alphas, orders.a_coeffs):
+        g = np.diff(lag_times ** (2.0 - alpha))
+        w[1:] += c / (tau * gamma_fn(3.0 - alpha)) * (g[1:] - g[:-1])
+    back = (w[:-1] - w[1:])[::-1].copy()
+    w.setflags(write=False)
+    back.setflags(write=False)
+    return w, back
+
+
+def _memory_row(orders, mesh: Mesh, n: int) -> np.ndarray:
+    """dw with dw @ (U^0 .. U^{n-1}) = -mem at level n >= 2.
+
+    mem = sum_k w_k (U^k - U^{k-1}) = sum_j (w_j - w_{j+1}) U^j with
+    w_0 = w_n = 0, the w_k summed over the temporal orders.  A uniform
+    mesh slices its cached lag row; a graded one takes history_weight.
+    """
+    if mesh.uniform:
+        w, back = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)
+        return np.concatenate((w[n - 1:n], back[mesh.n_steps - n:]))
+    k = np.arange(1, n)
+    w = sum(c * history_weight(a, n, k, mesh)
+            for a, c in zip(orders.alphas, orders.a_coeffs))
+    dw = np.empty(n)
+    dw[0] = w[0]
+    np.subtract(w[1:], w[:-1], out=dw[1:-1])
+    dw[-1] = -w[-1]
+    return dw
 
 
 def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
@@ -243,6 +311,9 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
 
     since s (c' M - k1 tau/2 S_beta - k2 tau/2 S_gamma) = 2 c_mass M - A
     (s c' is c_mass and s k tau/2 are the stiffness coefficients of A).
+    The memory weights come from one cached lag row on a uniform mesh
+    and from history_weight, two arrays of powers per temporal order, on
+    a graded one.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != mesh.m - 1 \
@@ -252,21 +323,12 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
     n = len(states)
     if abs(mats.tau - mesh.taus[n - 1]) > 1e-14 * mats.tau:
         raise ValueError(f"step matrix tau {mats.tau} is not that of level {n}")
-    orders = spec.orders
-    a0 = orders.alpha0
+    a0 = spec.orders.alpha0
     s = gamma_fn(3.0 - a0) * mats.tau ** (a0 - 1.0)
 
     u_prev = states[n - 1]
     v = 2.0 * mats.c_mass * u_prev
     if n > 1:
-        k = np.arange(1, n)
-        w = sum(c * history_weight(a, n, k, mesh)
-                for a, c in zip(orders.alphas, orders.a_coeffs))
-        # -mem, as mem = sum_j (w_j - w_{j+1}) U^j with w_0 = w_n = 0
-        dw = np.empty(n)
-        dw[0] = w[0]
-        np.subtract(w[1:], w[:-1], out=dw[1:-1])
-        dw[-1] = -w[-1]
-        v += s * (dw @ states)
+        v += s * (_memory_row(spec.orders, mesh, n) @ states)
     return (s * source_moment(spec, mesh, n) + mats.mass.matvec(v)
             - mats.a_full.matvec(u_prev))

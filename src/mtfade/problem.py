@@ -14,6 +14,7 @@ space (advection order 2*beta with beta in (0, 1/2), diffusion order
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -58,6 +59,34 @@ class FractionalOrders:
     @property
     def alpha0(self):
         return self.alphas[0]
+
+
+@dataclass(frozen=True)
+class SeparableSource:
+    """A source f(x, t) = sum_i g_i(t) p_i(x) that states its terms.
+
+    terms is a tuple of (g, p) pairs: each g maps an array of times, and
+    each p an array of points, to an array of the same shape.  Called as
+    f(x, t) it sums the products, so it serves wherever a source
+    callback does; source_moment reads terms and integrates each p once
+    per mesh and each g once per step.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        terms = tuple((g, p) for g, p in self.terms)
+        if not terms:
+            raise ValueError("a separable source needs at least one term")
+        object.__setattr__(self, "terms", terms)
+
+    def __call__(self, x, t):
+        x = np.asarray(x, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        out = np.zeros_like(x)
+        for g, p in self.terms:
+            out += g(t) * p(x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,7 +149,7 @@ class Mesh:
     def n_steps(self):
         return len(self.taus)
 
-    @property
+    @functools.cached_property
     def uniform(self):
         t = self.taus
         return bool(np.all(np.abs(t - t[0]) <= 1e-14 * t[0]))
@@ -172,30 +201,38 @@ def _power_poly(z, e, cs):
 
 
 def _manufactured_source(orders: FractionalOrders, profile, terms):
-    """The source f(x, t) = D_t(t^2 + 1) profile(x, y) + (t^2 + 1) S(x),
+    """The source f(x, t) = (t^2 + 1) S(x) + D_t(t^2 + 1) profile(x, y),
     y = 1 - x, of a manufactured solution (t^2 + 1) U(x).
 
     D_t is sum_i a_i Caputo^{alpha_i}, which maps t^2 + 1 to
     sum_i 2 a_i t^(2 - alpha_i) / Gamma(3 - alpha_i); profile is U
     without its factor 100.  S(x) is the sum over terms (on_y, e, cs) of
     z^e (cs[0] + cs[1] z + ...) with z = y if on_y else x.  Every
-    constant is taken here, once, so a call evaluates one array power
-    per term and multiplies for the rest.
+    constant is taken here, once, so S evaluates one array power per
+    term and multiplies for the rest.
     """
     time_terms = tuple((200.0 * c / gamma_fn(3.0 - a), 2.0 - a)
                        for a, c in zip(orders.alphas, orders.a_coeffs))
 
-    def source(x, t):
+    def growth(t):
+        return t * t + 1.0
+
+    def memory(t):
+        return sum(c * t ** e for c, e in time_terms)
+
+    def space(x):
         x = np.asarray(x, dtype=np.float64)
         y = 1.0 - x
-        space = np.zeros_like(x)
+        out = np.zeros_like(x)
         for on_y, e, cs in terms:
-            space += _power_poly(y if on_y else x, e, cs)
-        space *= t * t + 1.0
-        space += sum(c * t ** a for c, a in time_terms) * profile(x, y)
-        return space
+            out += _power_poly(y if on_y else x, e, cs)
+        return out
 
-    return source
+    def shape(x):
+        x = np.asarray(x, dtype=np.float64)
+        return profile(x, 1.0 - x)
+
+    return SeparableSource(((growth, space), (memory, shape)))
 
 
 def make_example_1(orders: FractionalOrders) -> ProblemSpec:

@@ -8,11 +8,12 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
-from mtfade import (FractionalOrders, Mesh, SymToeplitz, TimePolicy,
-                    history_weight, initial_state, make_example_1,
-                    make_example_2, make_mesh, mass_symbol, rhs_vector,
-                    source_moment, step_matrix, stiffness_symbol)
-from mtfade.assembly import _graded_panels
+from mtfade import (FractionalOrders, Mesh, SeparableSource, SymToeplitz,
+                    TimePolicy, history_weight, initial_state,
+                    make_example_1, make_example_2, make_mesh, march,
+                    mass_symbol, rhs_vector, source_moment, step_matrix,
+                    stiffness_symbol)
+from mtfade.assembly import _graded_panels, _lag_row, _memory_row
 from mtfade.problem import ProblemSpec
 from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
@@ -32,6 +33,9 @@ STIFF_REF_LARGE_LAG = [
     (0.95, 1e-5, 20000, -9.6831916681827881e-10),
     (0.95, 1e-5, 100000, -9.0992482492346646e-12),
 ]
+# The paper's first two sets of orders: alphas, beta, gamma.
+SET1 = ((0.9, 0.4), 0.3, 0.8)
+SET2 = ((0.7, 0.5), 0.15, 0.95)
 # Memory weights (alpha, tau, n, k) with uniform steps, same precision.
 HISTORY_REF = [
     (0.5, 0.1, 5, 2, 0.10374617015325189),
@@ -336,6 +340,64 @@ class TestSourceMoment:
             assert rel_diff(got, loop_source_moment(spec, mesh, 1)) <= 1e-13
 
 
+class TestSeparableSource:
+    @pytest.mark.parametrize("example", [1, 2])
+    @pytest.mark.parametrize("orders", [SET1, SET2])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_cached_moments_match_callback(self, example, orders, graded):
+        alphas, beta, gamma = orders
+        fo = FractionalOrders(alphas, (1.0, 1.0), beta, gamma)
+        spec = make_example_1(fo) if example == 1 \
+            else make_example_2(fo, 5.0, 30.0)
+        assert isinstance(spec.source, SeparableSource)
+        # the same source as a plain callable takes the callback path
+        plain = ProblemSpec(orders=spec.orders, k1=spec.k1, k2=spec.k2,
+                            domain=spec.domain, horizon=spec.horizon,
+                            source=lambda x, t: spec.source(x, t),
+                            initial=spec.initial)
+        mesh = graded_mesh(spec, 64, 40) if graded \
+            else make_mesh(spec, 64, TimePolicy.TAU_EQ_H)
+        for n in (1, 2, mesh.n_steps):
+            got = source_moment(spec, mesh, n)
+            want = source_moment(plain, mesh, n)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_parts_called_once_per_mesh_and_step(self):
+        base = default_spec(*SET1)
+        space_calls, time_calls = [], []
+
+        def counted(g, p, i):
+            def g_counted(t):
+                time_calls.append((i, np.shape(t)))
+                return g(t)
+
+            def p_counted(x):
+                space_calls.append(i)
+                return p(x)
+            return g_counted, p_counted
+
+        source = SeparableSource(tuple(
+            counted(g, p, i) for i, (g, p) in enumerate(base.source.terms)))
+        spec = ProblemSpec(orders=base.orders, k1=base.k1, k2=base.k2,
+                           domain=base.domain, horizon=base.horizon,
+                           source=source, initial=base.initial)
+        mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
+        march(spec, mesh, tol=1e-12)
+        assert sorted(space_calls) == [0, 1]
+        steps = mesh.n_steps
+        assert sorted(time_calls) == [(0, (4,))] * steps + [(1, (4,))] * steps
+
+    def test_call_sums_the_terms(self):
+        source = SeparableSource(((lambda t: t + 1.0, np.sin),
+                                  (np.cos, lambda x: x * x)))
+        x = np.linspace(0.0, 1.0, 7)
+        np.testing.assert_allclose(
+            source(x, 0.5), 1.5 * np.sin(x) + math.cos(0.5) * x * x,
+            rtol=1e-15)
+        with pytest.raises(ValueError):
+            SeparableSource(())
+
+
 class TestHistoryWeights:
     @pytest.mark.parametrize("alpha,tau,n,k,want", HISTORY_REF)
     def test_reference_values(self, alpha, tau, n, k, want):
@@ -387,6 +449,28 @@ class TestHistoryWeights:
                     np.testing.assert_allclose(
                         got, four_term_history_weight(alpha, n, k, mesh),
                         rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alphas", [SET1[0], SET1[0][:1], SET1[0][1:]])
+    def test_lag_row_matches_history_weight(self, alphas):
+        # Both forms lose about 2 log10(lag) digits to the same
+        # cancellation, so the bound is tight only for short histories.
+        # Here tau = 2^-7, so the mesh's elapsed times are exact and both
+        # forms difference the same powers; on other uniform meshes they
+        # differ by that cancellation, about 3e-12 at N = 64.
+        orders = FractionalOrders(alphas, (1.0,) * len(alphas), *SET1[1:])
+        mesh = make_mesh(default_spec(), 16, TimePolicy.TAU_CONST,
+                         tau_const=0.5 / 64)
+        assert mesh.uniform and mesh.n_steps == 64
+        w_lag, _ = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)
+        for n in range(2, mesh.n_steps + 1):
+            w = sum(c * history_weight(a, n, np.arange(1, n), mesh)
+                    for a, c in zip(orders.alphas, orders.a_coeffs))
+            # level k has lag n - k
+            np.testing.assert_allclose(w_lag[n - 1:0:-1], w, rtol=1e-12,
+                                       atol=0.0)
+            dw = _memory_row(orders, mesh, n)
+            want = np.concatenate((w[:1], np.diff(w), -w[-1:]))
+            assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(w)
 
     def test_index_guard(self):
         spec = default_spec()
