@@ -245,9 +245,9 @@ class TwoLevelV01:
             self._lower, b - self.dense @ x, lower=True)
 
 
-def two_level_solve(A: SymToeplitz, b: np.ndarray, tol: float = 1e-8,
-                    maxit: int = 1000):
-    """Iterate the two-level V(0,1)-cycle to a relative residual."""
+def two_level_solve(A: SymToeplitz, b: np.ndarray, tol: float = 1e-8):
+    """Iterate the two-level V(0,1)-cycle to a relative residual, at most
+    1000 cycles."""
     cyc = TwoLevelV01(A)
     return iterate(A, b, lambda b, x, r, budget: (cyc.apply(b, x), 1),
-                   tol, maxit, None, "two-level")
+                   tol, 1000, None, "two-level")

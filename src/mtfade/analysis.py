@@ -100,8 +100,8 @@ def classify(T: SymToeplitz, mu: Optional[float] = None,
                         row_sum_bounds_hold=bounds)
 
 
-def class_conditions(spec: ProblemSpec, mesh: Mesh, n: int = 1):
-    """Evaluate the two sufficient M-matrix conditions for the step matrix.
+def class_conditions(spec: ProblemSpec, mesh: Mesh):
+    """The two sufficient M-matrix conditions for the first step's matrix.
 
     Class 1: beta >= beta0 together with a lower bound on
     tau^alpha0 / h^{2 gamma}.  Class 2: beta < beta0 with h small enough
@@ -110,7 +110,7 @@ def class_conditions(spec: ProblemSpec, mesh: Mesh, n: int = 1):
     """
     orders = spec.orders
     beta, gamma = orders.beta, orders.gamma
-    tau = float(mesh.taus[n - 1])
+    tau = float(mesh.taus[0])
     h = mesh.h
     coeff_sum = sum(c / gamma_fn(3.0 - a)
                     for a, c in zip(orders.alphas, orders.a_coeffs))
@@ -134,15 +134,19 @@ def spectrum(T: SymToeplitz, tol: float = 1e-6,
              dense_cap: int = EIG_DENSE_CAP) -> SpectrumReport:
     """Extremal eigenvalues and condition number of an SPD Toeplitz matrix.
 
-    Dense symmetric eigensolve below dense_cap; power iteration for the
-    largest and inverse iteration (CG inner solves) for the smallest
-    eigenvalue above it.
+    Up to dense_cap unknowns, one dense symmetric eigensolve: both
+    eigenvalues are exact to rounding and residual_tol_achieved is 0.
+    Above it, power iteration for the largest and inverse iteration (CG
+    inner solves) for the smallest eigenvalue.  Each stops once two
+    successive estimates differ by at most tol, relative, and
+    residual_tol_achieved is the power iteration's last such change.
+    Neither is an error bound: an iteration that converges slowly stops
+    with an estimate further from the eigenvalue than tol.
     """
     m = T.m
     if m <= dense_cap:
-        dense = T.to_dense()
-        lmin = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
-        lmax = scipy.linalg.eigvalsh(dense, subset_by_index=[m - 1, m - 1])[0]
+        eigs = scipy.linalg.eigvalsh(T.to_dense())
+        lmin, lmax = eigs[0], eigs[-1]
         return SpectrumReport(lambda_min=float(lmin), lambda_max=float(lmax),
                               kappa=float(lmax / lmin), method="dense",
                               residual_tol_achieved=0.0)

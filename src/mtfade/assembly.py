@@ -121,7 +121,7 @@ def initial_state(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     return np.asarray(spec.initial(mesh.interior_nodes(a)), dtype=np.float64)
 
 
-def _graded_panels(lo, hi, toward_lo, levels=_BOUNDARY_GRADE_LEVELS):
+def _graded_panels(lo, hi, toward_lo):
     """Split [lo, hi] into panels shrinking geometrically toward one end.
 
     Cut points are anchored at the graded endpoint (offsets subtracted
@@ -129,7 +129,7 @@ def _graded_panels(lo, hi, toward_lo, levels=_BOUNDARY_GRADE_LEVELS):
     floating point instead of rounding onto the singularity.
     """
     w = hi - lo
-    frac = 0.5 ** np.arange(levels - 1, 0, -1)
+    frac = 0.5 ** np.arange(_BOUNDARY_GRADE_LEVELS - 1, 0, -1)
     if toward_lo:
         return np.concatenate(([lo], lo + w * frac, [hi]))
     return np.concatenate(([lo], hi - w * frac[::-1], [hi]))

@@ -15,7 +15,8 @@ import scipy.sparse as sp
 from .solvers import (COARSEST_MAX, cf_jacobi_sweep, coarsest_inverse,
                       iterate)
 
-_DENSE_ORACLE_CAP = 4096
+# The most unknowns the oracle takes: its matrices are dense.
+DENSE_ORACLE_CAP = 4096
 
 
 def direct_interp(A: np.ndarray) -> sp.csr_matrix:
@@ -52,9 +53,9 @@ class DenseAmg:
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=np.float64)
-        if A.shape[0] > _DENSE_ORACLE_CAP:
+        if A.shape[0] > DENSE_ORACLE_CAP:
             raise ValueError(
-                f"dense oracle capped at {_DENSE_ORACLE_CAP} unknowns")
+                f"dense oracle capped at {DENSE_ORACLE_CAP} unknowns")
         self.matrices = [A]  # finest first; the last one is inverted
         self.prolongs = []  # one per smoothed level
         while self.matrices[-1].shape[0] > COARSEST_MAX:

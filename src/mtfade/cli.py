@@ -29,7 +29,7 @@ import numpy as np
 from .amg import AdaptiveSolver
 from .analysis import kappa_ratio_table
 from .assembly import initial_state, rhs_vector, step_matrix
-from .camg_dense import DenseAmg
+from .camg_dense import DENSE_ORACLE_CAP, DenseAmg
 from .problem import (FractionalOrders, ProblemSpec, TimePolicy,
                       make_example_1, make_example_2, make_mesh)
 from .solvers import cg_solve
@@ -188,7 +188,7 @@ def cmd_bench(args, w) -> int:
     for m in args.sizes:
         mesh = _mesh(args, m)
         for solver in solvers:
-            if solver == "camg-dense-oracle" and m > 4096:
+            if solver == "camg-dense-oracle" and m - 1 > DENSE_ORACLE_CAP:
                 continue
             rep, setup_s, solve_s = _bench_cell(args.spec, mesh, solver,
                                                 args.tol)

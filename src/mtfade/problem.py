@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -188,30 +188,22 @@ def make_mesh(spec: ProblemSpec, m: int, policy: TimePolicy,
     return Mesh(m=m, h=h, taus=taus, times=times)
 
 
-def _power_poly(z, e, cs):
-    """z^e (cs[0] + cs[1] z + ...): one array power, the polynomial by
-    Horner's rule."""
-    out = cs[-1] * z
-    for c in cs[-2:0:-1]:
-        out += c
-        out *= z
-    out += cs[0]
-    out *= z ** e
-    return out
+def _manufactured(orders: FractionalOrders, k1: float, k2: float, profile,
+                  space) -> ProblemSpec:
+    """The problem on (0, 1), T = 0.5, with exact solution
+    100 (t^2 + 1) profile(x).
 
-
-def _manufactured_source(orders: FractionalOrders, profile, terms):
-    """The source f(x, t) = (t^2 + 1) S(x) + D_t(t^2 + 1) profile(x, y),
-    y = 1 - x, of a manufactured solution (t^2 + 1) U(x).
-
-    D_t is sum_i a_i Caputo^{alpha_i}, which maps t^2 + 1 to
-    sum_i 2 a_i t^(2 - alpha_i) / Gamma(3 - alpha_i); profile is U
-    without its factor 100.  S(x) is the sum over terms (on_y, e, cs) of
-    z^e (cs[0] + cs[1] z + ...) with z = y if on_y else x.  Every
-    constant is taken here, once, so S evaluates one array power per
-    term and multiplies for the rest.
+    space is S(x), the spatial operator applied to the exact solution's
+    100 profile(x).  The source is
+    f(x, t) = (t^2 + 1) S(x) + D_t(t^2 + 1) 100 profile(x), where
+    D_t = sum_i a_i Caputo^{alpha_i} maps t^2 + 1 to
+    sum_i 2 a_i t^(2 - alpha_i) / Gamma(3 - alpha_i).
     """
-    time_terms = tuple((200.0 * c / gamma_fn(3.0 - a), 2.0 - a)
+    if len(orders.alphas) != 2:
+        raise ValueError("this example uses exactly two temporal orders")
+    if orders.a_coeffs != (1.0, 1.0):
+        raise ValueError("this example uses unit temporal coefficients")
+    time_terms = tuple((2.0 * c / gamma_fn(3.0 - a), 2.0 - a)
                        for a, c in zip(orders.alphas, orders.a_coeffs))
 
     def growth(t):
@@ -220,19 +212,18 @@ def _manufactured_source(orders: FractionalOrders, profile, terms):
     def memory(t):
         return sum(c * t ** e for c, e in time_terms)
 
-    def space(x):
-        x = np.asarray(x, dtype=np.float64)
-        y = 1.0 - x
-        out = np.zeros_like(x)
-        for on_y, e, cs in terms:
-            out += _power_poly(y if on_y else x, e, cs)
-        return out
-
     def shape(x):
-        x = np.asarray(x, dtype=np.float64)
-        return profile(x, 1.0 - x)
+        return 100.0 * profile(np.asarray(x, dtype=np.float64))
 
-    return SeparableSource(((growth, space), (memory, shape)))
+    def exact(x, t):
+        return growth(t) * shape(x)
+
+    def initial(x):
+        return exact(x, 0.0)
+
+    source = SeparableSource(((growth, space), (memory, shape)))
+    return ProblemSpec(orders=orders, k1=k1, k2=k2, domain=(0.0, 1.0),
+                       horizon=0.5, source=source, initial=initial, exact=exact)
 
 
 def make_example_1(orders: FractionalOrders) -> ProblemSpec:
@@ -241,32 +232,25 @@ def make_example_1(orders: FractionalOrders) -> ProblemSpec:
     Domain (0,1), T = 0.5, two temporal terms with unit weights,
     K1 = 1, K2 = 2.  The caller picks the four fractional orders.
     """
-    if len(orders.alphas) != 2:
-        raise ValueError("this example uses exactly two temporal orders")
-    if orders.a_coeffs != (1.0, 1.0):
-        raise ValueError("this example uses unit temporal coefficients")
-
-    def exact(x, t):
+    def space(x):
+        # Order mu with coefficient K, p = 1 - 2 mu, y = 1 - x, adds
+        #   100 K / (2 cos(mu pi)) [y^p / G(p+1)
+        #   + (2 x^(p+1) - 4 y^(p+1)) / G(p+2)
+        #   + (6 y^(p+2) - 6 x^(p+2)) / G(p+3)].
         x = np.asarray(x, dtype=np.float64)
-        return 100.0 * (t * t + 1.0) * (x * x - x ** 3)
+        y = 1.0 - x
+        out = np.zeros_like(x)
+        for mu, k in ((orders.beta, 1.0), (orders.gamma, 2.0)):
+            p = 1.0 - 2.0 * mu
+            out += 100.0 * k / (2.0 * math.cos(mu * math.pi)) * (
+                y ** p / gamma_fn(p + 1.0)
+                + (2.0 * x ** (p + 1.0) - 4.0 * y ** (p + 1.0))
+                / gamma_fn(p + 2.0)
+                + (6.0 * y ** (p + 2.0) - 6.0 * x ** (p + 2.0))
+                / gamma_fn(p + 3.0))
+        return out
 
-    def initial(x):
-        return exact(x, 0.0)
-
-    # Order mu, p = 1 - 2 mu, adds 100 K / (2 cos(mu pi)) times
-    #   y^p / G(p+1) + (2 x^(p+1) - 4 y^(p+1)) / G(p+2)
-    #   + (6 y^(p+2) - 6 x^(p+2)) / G(p+3)
-    # to S(x).
-    terms = []
-    for mu, k in ((orders.beta, 1.0), (orders.gamma, 2.0)):
-        p = 1.0 - 2.0 * mu
-        scale = 100.0 * k / (2.0 * math.cos(mu * math.pi))
-        g1, g2, g3 = (scale / gamma_fn(p + j) for j in (1.0, 2.0, 3.0))
-        terms += [(True, p, (g1, -4.0 * g2, 6.0 * g3)),
-                  (False, p + 1.0, (2.0 * g2, -6.0 * g3))]
-    source = _manufactured_source(orders, lambda x, y: x * x * y, terms)
-    return ProblemSpec(orders=orders, k1=1.0, k2=2.0, domain=(0.0, 1.0),
-                       horizon=0.5, source=source, initial=initial, exact=exact)
+    return _manufactured(orders, 1.0, 2.0, lambda x: x * x * (1.0 - x), space)
 
 
 def make_example_2(orders: FractionalOrders, k1: float, k2: float) -> ProblemSpec:
@@ -275,31 +259,21 @@ def make_example_2(orders: FractionalOrders, k1: float, k2: float) -> ProblemSpe
     Symmetric initial profile; K1 and K2 are free so the effect of large
     diffusion coefficients can be studied.
     """
-    if k1 <= 0 or k2 <= 0:
-        raise ValueError("k1 and k2 must be positive")
-    if len(orders.alphas) != 2:
-        raise ValueError("this example uses exactly two temporal orders")
-    if orders.a_coeffs != (1.0, 1.0):
-        raise ValueError("this example uses unit temporal coefficients")
-
-    def exact(x, t):
+    def space(x):
+        # Order mu with coefficient K, q = 2 - 2 mu, y = 1 - x, adds
+        #   100 K / cos(mu pi) [(x^q + y^q) / G(q+1)
+        #   - 6 (x^(q+1) + y^(q+1)) / G(q+2)
+        #   + 12 (x^(q+2) + y^(q+2)) / G(q+3)].
         x = np.asarray(x, dtype=np.float64)
-        return 100.0 * (t * t + 1.0) * (x * (1.0 - x)) ** 2
+        y = 1.0 - x
+        out = np.zeros_like(x)
+        for mu, k in ((orders.beta, k1), (orders.gamma, k2)):
+            q = 2.0 - 2.0 * mu
+            out += 100.0 * k / math.cos(mu * math.pi) * (
+                (x ** q + y ** q) / gamma_fn(q + 1.0)
+                - 6.0 * (x ** (q + 1.0) + y ** (q + 1.0)) / gamma_fn(q + 2.0)
+                + 12.0 * (x ** (q + 2.0) + y ** (q + 2.0))
+                / gamma_fn(q + 3.0))
+        return out
 
-    def initial(x):
-        return exact(x, 0.0)
-
-    # Order mu, q = 2 - 2 mu, adds 100 K / cos(mu pi) times
-    #   (x^q + y^q) / G(q+1) - 6 (x^(q+1) + y^(q+1)) / G(q+2)
-    #   + 12 (x^(q+2) + y^(q+2)) / G(q+3)
-    # to S(x).
-    terms = []
-    for mu, k in ((orders.beta, k1), (orders.gamma, k2)):
-        q = 2.0 - 2.0 * mu
-        scale = 100.0 * k / math.cos(mu * math.pi)
-        g1, g2, g3 = (scale / gamma_fn(q + j) for j in (1.0, 2.0, 3.0))
-        cs = (g1, -6.0 * g2, 12.0 * g3)
-        terms += [(False, q, cs), (True, q, cs)]
-    source = _manufactured_source(orders, lambda x, y: (x * y) ** 2, terms)
-    return ProblemSpec(orders=orders, k1=k1, k2=k2, domain=(0.0, 1.0),
-                       horizon=0.5, source=source, initial=initial, exact=exact)
+    return _manufactured(orders, k1, k2, lambda x: (x * (1.0 - x)) ** 2, space)

@@ -102,6 +102,13 @@ class TestBench:
         assert rows[0][4] == "non-converged"
         assert rows[0][3] == "1000"
 
+    def test_dense_oracle_skipped_above_its_cap(self, capsys):
+        # M = 8192 has 8191 unknowns, more than the oracle's cap of 4096
+        code, out = run_cli(["bench", "--sizes", "8192", "--solver",
+                             "camg-dense-oracle"], capsys)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[0] == "M" and rows == []
 
     def test_out_file_closed_when_a_solve_raises(self, tmp_path,
                                                   monkeypatch):

@@ -153,14 +153,19 @@ class TestMesh:
 
 
 class TestManufacturedProblems:
-    def test_example_1_exact_and_initial(self):
-        spec = make_example_1(orders_default())
-        x = np.array([0.25, 0.5])
-        assert np.allclose(spec.exact(x, 0.0), spec.initial(x))
+    @pytest.mark.parametrize("make, at_half", [
+        (make_example_1, 0.125),  # x^2 - x^3 at x = 1/2
+        (partial(make_example_2, k1=5.0, k2=300.0), 0.0625),  # x^2 (1-x)^2
+    ], ids=["example_1", "example_2"])
+    def test_exact_and_initial(self, make, at_half):
+        spec = make(orders_default())
+        x = np.array([0.25, 0.5, 0.8])
+        assert np.array_equal(spec.initial(x), spec.exact(x, 0.0))
         assert spec.exact(np.array([0.5]), 1.0)[0] == pytest.approx(
-            100.0 * 2.0 * (0.25 - 0.125))
+            100.0 * 2.0 * at_half)
         # boundary values vanish at all times
-        assert np.allclose(spec.exact(np.array([0.0, 1.0]), 0.37), 0.0)
+        assert np.array_equal(spec.exact(np.array([0.0, 1.0]), 0.37),
+                              [0.0, 0.0])
 
     def test_example_1_source_reference_values(self):
         for (x, t), alphas, want in (
