@@ -194,6 +194,24 @@ def _space_moments(terms, a: float, h: float, m: int, nx: int):
     return moments
 
 
+@functools.lru_cache(maxsize=8)
+def _time_integrals(terms, times: bytes):
+    """The integral of each time part g_i of a separable source's terms
+    over every slab (t_{n-1}, t_n) of the time grid (times, as float64
+    bytes), by 4-node Gauss-Legendre: a read-only (N x terms) array
+    whose row n-1 is slab n.  Each g_i is evaluated once, on all 4N
+    nodes."""
+    t = np.frombuffer(times)
+    t0, t1 = t[:-1, None], t[1:, None]
+    gt, wt = _gauss_legendre(4)
+    nodes = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt).ravel()
+    weights = 0.5 * (t1 - t0) * wt
+    slabs = np.stack([(weights * g(nodes).reshape(weights.shape)).sum(axis=1)
+                      for g, _ in terms], axis=1)
+    slabs.setflags(write=False)
+    return slabs
+
+
 def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
                   nx: int = 4) -> np.ndarray:
     """Moments of the source against each hat function over one time slab.
@@ -205,25 +223,25 @@ def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
 
     A source that states its terms, f = sum_i g_i(t) p_i(x) (see
     problem.SeparableSource), has the spatial moments of its p_i cached
-    once per mesh; a step then evaluates each g_i once on the 4 time
-    nodes and takes one (terms x m-1) product.  Any other source is a
-    callback: each step makes 4 vectorised source(x, t) calls over all
-    the points and one sparse product.
+    once per mesh and the time integrals of its g_i once per time grid
+    (each g_i evaluated once, on the 4 nodes of every slab); a step then
+    takes one (terms x m-1) product.  Any other source is a callback:
+    each step makes 4 vectorised source(x, t) calls over all the points
+    and one sparse product.
     """
     if not 1 <= n <= mesh.n_steps:
         raise ValueError(f"time level {n} outside 1..{mesh.n_steps}")
     a, _ = spec.domain
-    t0, t1 = mesh.times[n - 1], mesh.times[n]
-    gt, wt = _gauss_legendre(4)
-    t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
-    t_weights = 0.5 * (t1 - t0) * wt
     # an attribute, not a type: a wrapper that copies the callable's
     # __dict__ (functools.wraps) keeps the cached path
     terms = getattr(spec.source, "terms", None)
     if terms is not None:
         moments = _space_moments(terms, float(a), float(mesh.h), mesh.m, nx)
-        slab = np.array([t_weights @ g(t_nodes) for g, _ in terms])
-        return slab @ moments
+        return _time_integrals(terms, mesh.time_key)[n - 1] @ moments
+    t0, t1 = mesh.times[n - 1], mesh.times[n]
+    gt, wt = _gauss_legendre(4)
+    t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
+    t_weights = 0.5 * (t1 - t0) * wt
     pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m, nx)
     ft = np.zeros(pts.size)
     for tq, twq in zip(t_nodes, t_weights):

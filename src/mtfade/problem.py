@@ -154,6 +154,12 @@ class Mesh:
         t = self.taus
         return bool(np.all(np.abs(t - t[0]) <= 1e-14 * t[0]))
 
+    @functools.cached_property
+    def time_key(self) -> bytes:
+        """The time grid as bytes: the hashable key of tables built once
+        per time grid, since a Mesh holds arrays and has no hash."""
+        return self.times.tobytes()
+
     def interior_nodes(self, a=0.0):
         return a + self.h * np.arange(1, self.m)
 

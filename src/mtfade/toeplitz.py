@@ -58,11 +58,28 @@ class SymToeplitz:
             raise ValueError(f"expected vector of length {self.m}, got {x.shape}")
         if self.m <= DENSE_MATVEC_CUTOFF:
             return self.to_dense() @ x
+        return self._circulant_product(x)
+
+    def row_products(self, rows):
+        """Return T x for each row x of a (k, m) block, as the rows of a
+        (k, m) array: one dense product up to DENSE_MATVEC_CUTOFF, one
+        batch of FFTs above it."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.m:
+            raise ValueError(
+                f"expected rows of length {self.m}, got {rows.shape}")
+        if self.m <= DENSE_MATVEC_CUTOFF:
+            return rows @ self.to_dense()  # T is symmetric
+        return self._circulant_product(rows)
+
+    def _circulant_product(self, x):
+        """T times x along x's last axis, through the cached spectrum of
+        the circulant embedding."""
         if self._spectrum is None:
             self._pad, self._spectrum = self._embed_spectrum()
         p = self._pad
         y = np.fft.irfft(self._spectrum * np.fft.rfft(x, n=p), n=p)
-        return y[: self.m]
+        return y[..., : self.m]
 
     def __matmul__(self, x):
         return self.matvec(x)

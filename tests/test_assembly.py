@@ -13,7 +13,8 @@ from mtfade import (FractionalOrders, Mesh, SeparableSource, SymToeplitz,
                     make_example_1, make_example_2, make_mesh, march,
                     mass_symbol, rhs_vector, source_moment, step_matrix,
                     stiffness_symbol)
-from mtfade.assembly import _graded_panels, _lag_row, _memory_row
+from mtfade.assembly import (_graded_panels, _lag_row, _memory_row,
+                             _time_integrals)
 from mtfade.problem import ProblemSpec
 from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
@@ -362,7 +363,7 @@ class TestSeparableSource:
             want = source_moment(plain, mesh, n)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_parts_called_once_per_mesh_and_step(self):
+    def test_parts_called_once_per_mesh(self):
         base = default_spec(*SET1)
         space_calls, time_calls = [], []
 
@@ -384,8 +385,27 @@ class TestSeparableSource:
         mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
         march(spec, mesh, tol=1e-12)
         assert sorted(space_calls) == [0, 1]
-        steps = mesh.n_steps
-        assert sorted(time_calls) == [(0, (4,))] * steps + [(1, (4,))] * steps
+        # each time part once, on the 4 Gauss nodes of every slab
+        nodes = (4 * mesh.n_steps,)
+        assert sorted(time_calls) == [(0, nodes), (1, nodes)]
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_slab_integrals_match_per_step_rule(self, graded):
+        # every row of the per-grid table is the 4-node rule on its slab
+        spec = default_spec(*SET1)
+        mesh = graded_mesh(spec, 32, 40) if graded \
+            else make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
+        slabs = _time_integrals(spec.source.terms, mesh.time_key)
+        assert slabs.shape == (mesh.n_steps, len(spec.source.terms))
+        assert not slabs.flags.writeable
+        gt, wt = roots_legendre(4)
+        for n in range(1, mesh.n_steps + 1):
+            t0, t1 = mesh.times[n - 1], mesh.times[n]
+            nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
+            want = [0.5 * (t1 - t0) * wt @ g(nodes)
+                    for g, _ in spec.source.terms]
+            assert np.all(np.abs(slabs[n - 1] - want)
+                          <= 1e-14 * np.abs(want))
 
     def test_call_sums_the_terms(self):
         source = SeparableSource(((lambda t: t + 1.0, np.sin),

@@ -3,15 +3,18 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from mtfade import (FractionalOrders, Mesh, ProblemSpec, SeparableSource,
-                    TimePolicy, convergence_table, initial_state, l2_error,
-                    make_example_1, make_mesh, march, rhs_vector,
-                    step_matrix)
-from mtfade.timestepper import SolverFailure
+from mtfade import (AdaptiveSolver, FractionalOrders, Mesh, ProblemSpec,
+                    SeparableSource, TimePolicy, convergence_table,
+                    initial_state, l2_error, make_example_1, make_mesh, march,
+                    rhs_vector, step_matrix)
+from mtfade import timestepper
+from mtfade.timestepper import (PROJECTION_WINDOW, ProjectedStart,
+                                SolverFailure)
 
 
 def orders(alphas=(0.9, 0.4), beta=0.3, gamma=0.8):
@@ -133,6 +136,149 @@ class TestMarch:
         assert res.rhs_seconds >= slept
         assert res.solve_seconds < 0.5 * slept
         assert res.setup_seconds < 0.5 * slept
+
+
+def smooth_history(x, times):
+    """Rows u(x, t) = sum_k exp(-k t) sin(k pi x) / k^2, k = 1..20: smooth
+    in t and not confined to a few spatial modes."""
+    k = np.arange(1, 21)[:, None]
+    return np.array([(np.exp(-k * t) / k ** 2 * np.sin(k * np.pi * x)).sum(0)
+                     for t in times])
+
+
+def replay_from_previous(spec, mesh, tol=1e-12):
+    """The march with every step started from U^{n-1}, the start that
+    march made before the projection: (states, total iterations)."""
+    solver = AdaptiveSolver(spec, mesh, step_matrix(spec, mesh, 1))
+    states = np.empty((mesh.n_steps + 1, mesh.m - 1))
+    states[0] = initial_state(spec, mesh)
+    iterations = 0
+    for n in range(1, mesh.n_steps + 1):
+        b = rhs_vector(spec, mesh, states[:n], solver.mats)
+        states[n], rep = solver.solve(b, tol=tol, x0=states[n - 1])
+        assert rep.converged
+        iterations += rep.iterations
+    return states, iterations
+
+
+class TestProjectedStart:
+    def setup_method(self):
+        spec = make_example_1(orders())
+        self.mesh = make_mesh(spec, 64, TimePolicy.TAU_EQ_H)
+        self.A = step_matrix(spec, self.mesh, 1).a_full
+        self.x = self.mesh.interior_nodes()
+
+    def a_norm(self, e):
+        return math.sqrt(e @ self.A.matvec(e))
+
+    def test_never_worse_than_the_previous_state(self):
+        A = self.A
+        states = smooth_history(self.x, 0.02 * np.arange(12))
+        proj = ProjectedStart(A.m)
+        for n in range(1, len(states)):
+            want = states[n]
+            x0 = proj.start(A, A.matvec(want), states[:n])
+            assert self.a_norm(want - x0) \
+                <= self.a_norm(want - states[n - 1])
+        # a full window of a smooth history gains orders of magnitude
+        assert self.a_norm(want - x0) \
+            <= 1e-3 * self.a_norm(want - states[n - 1])
+
+    def test_products_follow_the_matrix(self):
+        # one new product per level with the same matrix; all of them
+        # again when the matrix changes
+        spec = make_example_1(orders())
+        other = step_matrix(spec, make_mesh(spec, 64, TimePolicy.TAU_EQ_H2),
+                            1).a_full
+        states = smooth_history(self.x, 0.02 * np.arange(10))
+        proj = ProjectedStart(self.A.m)
+        for n in range(1, len(states)):
+            A = other if n in (4, 5, 8) else self.A
+            proj.start(A, A.matvec(states[n]), states[:n])
+            window = states[max(0, n - PROJECTION_WINDOW):n]
+            np.testing.assert_allclose(
+                proj._products[-len(window):], A.row_products(window),
+                rtol=0, atol=1e-13 * np.abs(window).max())
+
+    @pytest.mark.parametrize("history", ["zero", "identical", "collinear",
+                                         "zero-then-one", "rounding-noise",
+                                         "huge"])
+    def test_degenerate_history_gives_a_finite_start(self, history):
+        # "rounding-noise" states differ by 1e-17 relative, below what the
+        # products resolve: its Gram matrix is regular but meaningless,
+        # and solving it unguarded gives a residual 1.9 times U^{n-1}'s.
+        # "huge" overflows the Gram matrix.
+        A = self.A
+        u = np.sin(np.pi * self.x)
+        noise = np.random.default_rng(1).standard_normal((7, A.m))
+        states = {"zero": np.zeros((7, A.m)),
+                  "identical": np.tile(u, (7, 1)),
+                  "collinear": np.outer(np.arange(1, 8), u),
+                  "zero-then-one": np.array([0 * u, u]),
+                  "rounding-noise": u + 1e-17 * noise,
+                  "huge": np.outer(1e300 * np.arange(1, 8), u)}[history]
+        b = A.matvec(1.5 * u + self.x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0 = ProjectedStart(A.m).start(A, b, states)
+        assert np.all(np.isfinite(x0))
+        r0, r = b - A.matvec(x0), b - A.matvec(states[-1])
+        if history != "huge":  # whose residual overflows
+            assert r0 @ r0 <= r @ r
+        if history in ("zero", "identical", "huge"):
+            assert np.array_equal(x0, states[-1])
+
+    def test_differences_keep_the_gain_at_small_tau(self):
+        # Example 1 at tau = h^2, M = 16: 288 CG iterations; the same
+        # projection from the Gram matrix of the raw states takes 689,
+        # since states 1e-3 apart leave it few digits.
+        spec = make_example_1(orders())
+        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H2)
+        assert march(spec, mesh, tol=1e-12).total_iterations <= 400
+
+    def test_start_is_timed_with_the_solves(self, monkeypatch):
+        pause = 0.01
+        start = ProjectedStart.start
+
+        def slow(self, A, b, states):
+            time.sleep(pause)
+            return start(self, A, b, states)
+
+        monkeypatch.setattr(timestepper.ProjectedStart, "start", slow)
+        spec = make_example_1(orders())
+        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        res = march(spec, mesh, tol=1e-12)
+        slept = pause * mesh.n_steps
+        assert res.solve_seconds >= slept
+        assert res.rhs_seconds < 0.5 * slept
+        assert res.setup_seconds < 0.5 * slept
+
+
+class TestNotPolynomialInTime:
+    """Problems whose solutions are not polynomials in t, where
+    extrapolation in time gains little: the projected start must still
+    save at least 30% of the iterations of starting from U^{n-1}."""
+
+    @pytest.mark.parametrize("problem", ["cos-source", "decay"])
+    def test_projection_saves_iterations(self, problem):
+        base = make_example_1(orders())
+        if problem == "cos-source":
+            source = SeparableSource(((lambda t: 100.0 * np.cos(10.0 * t),
+                                       lambda x: x * (1.0 - x)),))
+            initial = np.zeros_like
+        else:
+            source = lambda x, t: np.zeros_like(x)  # noqa: E731
+            initial = lambda x: np.sin(np.pi * x)  # noqa: E731
+        spec = ProblemSpec(orders=base.orders, k1=base.k1, k2=base.k2,
+                           domain=base.domain, horizon=base.horizon,
+                           source=source, initial=initial)
+        mesh = make_mesh(spec, 64, TimePolicy.TAU_EQ_H)
+        res = march(spec, mesh, tol=1e-12)
+        want, iterations = replay_from_previous(spec, mesh)
+        assert res.total_iterations <= 0.7 * iterations
+        for n in range(1, mesh.n_steps + 1):
+            assert np.linalg.norm(res.states[n] - want[n]) \
+                <= 1e-10 * np.linalg.norm(want[n])
 
 
 class TestL2Error:

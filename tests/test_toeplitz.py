@@ -68,6 +68,21 @@ def test_matvec_rejects_what_is_not_a_vector_or_a_dense_block(m, shape):
         T.matvec(np.ones(shape))
 
 
+@pytest.mark.parametrize("m", [31, DENSE_MATVEC_CUTOFF + 1])
+def test_row_products_match_matvec(m):
+    # the dense path and the batch of FFTs
+    T = SymToeplitz(random_symbol(m, seed=m))
+    rows = np.random.default_rng(m).standard_normal((5, m))
+    got = T.row_products(rows)
+    assert got.shape == rows.shape
+    for x, y in zip(rows, got):
+        want = T.matvec(x)
+        assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
+    for shape in ((m,), (m, 5), (2, 2, m)):
+        with pytest.raises(ValueError):
+            T.row_products(np.ones(shape))
+
+
 def test_row_sums_match_dense():
     T = SymToeplitz(random_symbol(100, seed=3))
     dense = scipy.linalg.toeplitz(T.symbol)
