@@ -3,8 +3,10 @@
 The fully discrete scheme leads, at every time level n, to a system
 A U^n = F^n whose matrix is a fixed linear combination of the hat-function
 mass matrix and two fractional stiffness matrices, all symmetric Toeplitz.
-The right-hand side carries the Caputo memory term: a weighted sum over
-the whole solution history.
+Those three depend on the mesh alone and are built once per mesh; only
+their coefficients depend on the time step.  The right-hand side
+carries the Caputo memory term: a weighted sum over the whole solution
+history.
 """
 
 from __future__ import annotations
@@ -82,11 +84,29 @@ def stiffness_symbol(mu: float, m: int, h: float) -> SymToeplitz:
     return SymToeplitz(t)
 
 
+@functools.lru_cache(maxsize=8)
+def _spatial_symbols(m: int, h: float, beta: float, gamma: float):
+    """The parts of every step matrix on m cells of width h that do not
+    depend on the time step: the mass matrix and the stiffness matrices
+    of orders 2 beta and 2 gamma, built once per mesh.  Every step matrix
+    of the mesh shares them, so their symbols are read-only."""
+    parts = (mass_symbol(m, h), stiffness_symbol(beta, m, h),
+             stiffness_symbol(gamma, m, h))
+    for part in parts:
+        part.symbol.setflags(write=False)
+    return parts
+
+
 @dataclass(frozen=True)
 class StepMatrix:
     """The per-step coefficient matrix A = c_mass M + c_beta S_beta +
     c_gamma S_gamma, with the mass matrix M and the scalar c_mass that
-    the right-hand side also needs."""
+    the right-hand side also needs.
+
+    M, S_beta and S_gamma depend on the mesh alone and are built once per
+    mesh; a step computes the three coefficients and combines the
+    symbols.  mass is the mesh's one shared, read-only M, so its dense
+    copy (or circulant spectrum) is made once, not once per step."""
 
     a_full: SymToeplitz
     mass: SymToeplitz
@@ -102,9 +122,8 @@ def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
     tau = float(mesh.taus[n - 1])
     a0 = orders.alpha0
     g0 = gamma_fn(3.0 - a0)
-    mass = mass_symbol(mesh.m, mesh.h)
-    stiff_b = stiffness_symbol(orders.beta, mesh.m, mesh.h)
-    stiff_g = stiffness_symbol(orders.gamma, mesh.m, mesh.h)
+    mass, stiff_b, stiff_g = _spatial_symbols(
+        mesh.m, float(mesh.h), orders.beta, orders.gamma)
     c_mass = sum(c * g0 * tau ** (a0 - a) / gamma_fn(3.0 - a)
                  for a, c in zip(orders.alphas, orders.a_coeffs))
     c_beta = spec.k1 * g0 * tau ** a0 / 2.0
@@ -249,28 +268,32 @@ def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
     return weigh @ ft
 
 
-def history_weight(alpha: float, n: int, k, mesh: Mesh):
+def history_weight(alpha, n: int, k, mesh: Mesh):
     """Memory-term weight for history level k at the current level n.
 
     This is the second difference of t -> t^(2-alpha) across the two
     intervals, divided by tau_k * Gamma(3-alpha); always positive by
     convexity of the power map.  k may be an integer array, giving the
-    weights of all those levels at once.  With e = 2 - alpha and
-    g_j = (t_n - t_j)^e - (t_{n-1} - t_j)^e, the weight is
-    (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)); g is taken once over
-    j = min(k)-1 .. max(k), so a row of weights costs two arrays of
-    powers.  rhs_vector calls it on graded meshes only; a uniform mesh
-    reads its weights from one lag row (_lag_row).
+    weights of all those levels at once, and alpha an array of orders,
+    giving one row of weights per order (shape alpha.shape + k.shape).
+    With e = 2 - alpha and g_j = (t_n - t_j)^e - (t_{n-1} - t_j)^e, the
+    weight is (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)); g is taken once
+    over j = min(k)-1 .. max(k), so the weights of every order cost one
+    pass of two arrays of powers.
+    rhs_vector calls it on graded meshes only, once per step for all the
+    orders; a uniform mesh reads its weights from one lag row (_lag_row).
     """
     k = np.asarray(k)
     lo, hi = int(k.min()), int(k.max())
     if lo < 1 or hi > n - 1:
         raise ValueError(f"history index k={k} must satisfy 1 <= k <= n-1={n - 1}")
+    alpha = np.asarray(alpha, dtype=np.float64)
     t = mesh.times[lo - 1:hi + 1]
-    e = 2.0 - alpha
+    e = (2.0 - alpha)[..., None]  # one row of g per order
     g = (mesh.times[n] - t) ** e - (mesh.times[n - 1] - t) ** e
-    num = (g[:-1] - g[1:])[k - lo]
-    return num / (mesh.taus[k - 1] * gamma_fn(3.0 - alpha))
+    num = (g[..., :-1] - g[..., 1:])[..., k - lo]
+    scale = gamma_fn(3.0 - alpha).reshape(alpha.shape + (1,) * k.ndim)
+    return num / (mesh.taus[k - 1] * scale)
 
 
 @functools.lru_cache(maxsize=8)
@@ -302,14 +325,14 @@ def _memory_row(orders, mesh: Mesh, n: int) -> np.ndarray:
 
     mem = sum_k w_k (U^k - U^{k-1}) = sum_j (w_j - w_{j+1}) U^j with
     w_0 = w_n = 0, the w_k summed over the temporal orders.  A uniform
-    mesh slices its cached lag row; a graded one takes history_weight.
+    mesh slices its cached lag row; a graded one takes the rows of all
+    the orders from one history_weight call and sums them in order.
     """
     if mesh.uniform:
         w, back = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)
         return np.concatenate((w[n - 1:n], back[mesh.n_steps - n:]))
-    k = np.arange(1, n)
-    w = sum(c * history_weight(a, n, k, mesh)
-            for a, c in zip(orders.alphas, orders.a_coeffs))
+    rows = history_weight(np.array(orders.alphas), n, np.arange(1, n), mesh)
+    w = sum(c * row for c, row in zip(orders.a_coeffs, rows))
     dw = np.empty(n)
     dw[0] = w[0]
     np.subtract(w[1:], w[:-1], out=dw[1:-1])
@@ -330,8 +353,8 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
     since s (c' M - k1 tau/2 S_beta - k2 tau/2 S_gamma) = 2 c_mass M - A
     (s c' is c_mass and s k tau/2 are the stiffness coefficients of A).
     The memory weights come from one cached lag row on a uniform mesh
-    and from history_weight, two arrays of powers per temporal order, on
-    a graded one.
+    and from one history_weight call, two arrays of powers per temporal
+    order, on a graded one.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != mesh.m - 1 \

@@ -134,7 +134,10 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
     on a uniform mesh and PROJECTION_WINDOW, as one block product, on a
     graded one; it is timed with the solves.  The states fill one
     (N+1, M-1) array, allocated up front.  A uniform time mesh shares
-    one step matrix and solver across all steps.
+    one step matrix and solver across all steps.  A graded one builds
+    each step's matrix from the mesh's cached mass and stiffness symbols
+    (only the three coefficients depend on the step) and a hierarchy
+    for it; every step shares the one mass matrix.
     """
     clock = time.perf_counter
     t0 = clock()

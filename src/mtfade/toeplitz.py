@@ -5,13 +5,16 @@ which needs O(m) memory.  Matrix-vector products go through a circulant
 embedding of size >= 2m (rounded up to a power of two) and cost
 O(m log m); the spectrum of the embedding is computed once and cached.
 Up to DENSE_MATVEC_CUTOFF the product uses a cached dense copy instead,
-which is faster at those sizes.
+which is faster at those sizes.  The dense copy is one strided view of
+the symbol, copied once, and read-only: a SymToeplitz may be shared (the
+step matrices share their mass matrix per mesh), so no caller may write
+into it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 # Up to this dimension the cached dense product beats the FFT round trip.
 # Measured with one BLAS thread (numpy 2.4, 2-core x86-64 host): dense
@@ -85,11 +88,21 @@ class SymToeplitz:
         return self.matvec(x)
 
     def to_dense(self):
-        """Materialize the full (m, m) array.  Cached for reuse."""
+        """Materialize the full (m, m) array, read-only.  Cached for reuse.
+
+        With v = (t_{m-1}, ..., t_1, t_0, t_1, ..., t_{m-1}), row i is
+        v[m-1-i : 2m-1-i]: one view of v, rows stepping back one entry,
+        then one copy."""
         if self.m > DENSE_CAP:
             raise ValueError(f"dense cap exceeded: m={self.m} > {DENSE_CAP}")
         if self._dense is None:
-            self._dense = scipy.linalg.toeplitz(self.symbol)
+            t = self.symbol
+            v = np.concatenate((t[:0:-1], t))
+            step = v.strides[0]
+            dense = as_strided(v[self.m - 1:], shape=self.shape,
+                               strides=(-step, step)).copy()
+            dense.setflags(write=False)
+            self._dense = dense
         return self._dense
 
     def row_sums(self):

@@ -13,8 +13,9 @@ from mtfade import (FractionalOrders, Mesh, SeparableSource, SymToeplitz,
                     make_example_1, make_example_2, make_mesh, march,
                     mass_symbol, rhs_vector, source_moment, step_matrix,
                     stiffness_symbol)
+from mtfade import assembly
 from mtfade.assembly import (_graded_panels, _lag_row, _memory_row,
-                             _time_integrals)
+                             _spatial_symbols, _time_integrals)
 from mtfade.problem import ProblemSpec
 from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
@@ -230,6 +231,22 @@ def closed_form_symbol(spec, mesh, tau):
             * stiffness_symbol(orders.gamma, mesh.m, mesh.h).symbol)
 
 
+def fresh_step_symbol(spec, mesh, n):
+    """step_matrix's symbol at level n by its own expression, from mass
+    and stiffness symbols built afresh for this call."""
+    orders = spec.orders
+    tau = float(mesh.taus[n - 1])
+    a0 = orders.alpha0
+    g0 = gamma_fn(3.0 - a0)
+    c_mass = sum(c * g0 * tau ** (a0 - a) / gamma_fn(3.0 - a)
+                 for a, c in zip(orders.alphas, orders.a_coeffs))
+    c_beta = spec.k1 * g0 * tau ** a0 / 2.0
+    c_gamma = spec.k2 * g0 * tau ** a0 / 2.0
+    return (c_mass * mass_symbol(mesh.m, mesh.h).symbol
+            + c_beta * stiffness_symbol(orders.beta, mesh.m, mesh.h).symbol
+            + c_gamma * stiffness_symbol(orders.gamma, mesh.m, mesh.h).symbol)
+
+
 class TestStepMatrix:
     def test_symbol_is_recorded_combination(self):
         spec = default_spec()
@@ -255,6 +272,63 @@ class TestStepMatrix:
             step_matrix(spec, mesh, 0)
         with pytest.raises(ValueError):
             step_matrix(spec, mesh, mesh.n_steps + 1)
+
+    def test_symbols_built_once_per_mesh(self, monkeypatch):
+        # a graded march builds a step matrix at every step, from one
+        # mass and two stiffness symbols per mesh, not three per step
+        spec = default_spec()
+        calls = []
+
+        def counting(name):
+            fn = getattr(assembly, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("mass_symbol", "stiffness_symbol"):
+            monkeypatch.setattr(assembly, name, counting(name))
+        _spatial_symbols.cache_clear()
+        for m in (16, 32):
+            mesh = graded_mesh(spec, m, 12)
+            march(spec, mesh)
+            march(spec, mesh)
+            assert calls == ["mass_symbol"] + ["stiffness_symbol"] * 2
+            calls.clear()
+
+    @pytest.mark.parametrize("graded", [True, False])
+    def test_symbol_equals_a_fresh_combination(self, graded):
+        spec = default_spec()
+        if graded:
+            mesh = graded_mesh(spec, 32, 40)
+        else:
+            mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
+        mass = step_matrix(spec, mesh, 1).mass
+        for n in (1, 2, 3, mesh.n_steps // 2, mesh.n_steps):
+            mats = step_matrix(spec, mesh, n)
+            assert np.array_equal(mats.a_full.symbol,
+                                  fresh_step_symbol(spec, mesh, n))
+            assert mats.mass is mass  # one mass matrix per mesh
+
+    def test_cached_parts_are_read_only(self):
+        # what is shared per mesh cannot be written into, so one caller
+        # cannot change the marches that follow on the same mesh
+        spec = default_spec()
+        mesh = graded_mesh(spec, 16, 12)
+        _spatial_symbols.cache_clear()
+        first = march(spec, mesh)
+        mats = step_matrix(spec, mesh, 3)
+        parts = _spatial_symbols(mesh.m, mesh.h, spec.orders.beta,
+                                 spec.orders.gamma)
+        assert parts[0] is mats.mass
+        shared = [part.symbol for part in parts]
+        shared += [mats.mass.to_dense(), mats.a_full.to_dense()]
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+        second = march(spec, mesh)
+        assert np.array_equal(second.states, first.states)
 
 
 class TestSourceMoment:
@@ -491,6 +565,35 @@ class TestHistoryWeights:
             dw = _memory_row(orders, mesh, n)
             want = np.concatenate((w[:1], np.diff(w), -w[-1:]))
             assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(w)
+
+    def test_orders_in_one_call_match_calls_per_order(self):
+        spec = default_spec()
+        mesh = graded_mesh(spec, 32, 64)
+        alphas = np.array([0.9, 0.4, 0.15])
+        for n in (2, 3, 32, 64):
+            for k in (np.arange(1, n), np.array([1, n - 1]), n - 1, 1):
+                rows = history_weight(alphas, n, k, mesh)
+                assert rows.shape == alphas.shape + np.shape(k)
+                for alpha, row in zip(alphas, rows):
+                    assert np.array_equal(
+                        row, history_weight(float(alpha), n, k, mesh))
+            for k in (0, n, np.arange(0, n), np.arange(1, n + 1)):
+                for alpha in (alphas, alphas[0]):
+                    with pytest.raises(ValueError, match="history index"):
+                        history_weight(alpha, n, k, mesh)
+
+    @pytest.mark.parametrize("alphas", [SET1[0], (0.9, 0.6, 0.2)])
+    def test_graded_memory_row_is_the_sum_over_orders(self, alphas):
+        orders = FractionalOrders(alphas, (1.0, 0.5, 2.0)[:len(alphas)],
+                                  *SET1[1:])
+        mesh = graded_mesh(default_spec(), 32, 64)
+        last = mesh.n_steps
+        for n in (2, 3, last // 2, last):
+            k = np.arange(1, n)
+            w = sum(c * history_weight(a, n, k, mesh)
+                    for a, c in zip(orders.alphas, orders.a_coeffs))
+            want = np.concatenate((w[:1], np.diff(w), -w[-1:]))
+            assert np.array_equal(_memory_row(orders, mesh, n), want)
 
     def test_index_guard(self):
         spec = default_spec()

@@ -254,6 +254,26 @@ class TestProjectedStart:
         assert res.setup_seconds < 0.5 * slept
 
 
+class TestGradedMarch:
+    def test_counts_and_error_are_pinned(self):
+        # The benchmark's march-graded case: example 1, SET1, M = 64 and
+        # t_n = T (n/N)^2 with N = 256.  A graded step builds its own step
+        # matrix and, on the AMG branch, its own hierarchy, so a change of
+        # how they are built shows here as moved counts or digits.
+        spec = make_example_1(orders())
+        n_steps = 256
+        times = spec.horizon * (np.arange(n_steps + 1) / n_steps) ** 2
+        a, b = spec.domain
+        mesh = Mesh(m=64, h=(b - a) / 64, taus=np.diff(times), times=times)
+        res = march(spec, mesh, tol=1e-12)
+        iterations = {}
+        for r in res.per_step_reports:
+            iterations[r.branch] = iterations.get(r.branch, 0) + r.iterations
+        assert iterations == {"cg": 127, "amg": 293}
+        assert res.l2_error == pytest.approx(3.1677557843879352e-03,
+                                             rel=1e-12)
+
+
 class TestNotPolynomialInTime:
     """Problems whose solutions are not polynomials in t, where
     extrapolation in time gains little: the projected start must still

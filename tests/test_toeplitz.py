@@ -100,3 +100,24 @@ def test_matvec_is_deterministic_and_cached():
 def test_rejects_empty_symbol():
     with pytest.raises(ValueError):
         SymToeplitz(np.array([]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 15, 16, 63, 384])
+def test_dense_copy_is_scipy_toeplitz(m):
+    T = SymToeplitz(random_symbol(m, seed=m + 100))
+    dense = T.to_dense()
+    want = scipy.linalg.toeplitz(T.symbol)
+    assert dense.shape == (m, m) and dense.flags.c_contiguous
+    assert np.array_equal(dense, want)
+    assert T.to_dense() is dense  # made once
+
+
+def test_dense_copy_is_read_only():
+    # a SymToeplitz may be shared (a mesh's mass matrix is), so a write
+    # into its cached dense copy must fail, not change later products
+    T = SymToeplitz(random_symbol(16, seed=5))
+    x = np.arange(16.0)
+    before = T.matvec(x)
+    with pytest.raises(ValueError):
+        T.to_dense()[0, 0] = 0.0
+    assert np.array_equal(T.matvec(x), before)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import mtfade.amg
-from mtfade import (FractionalOrders, TimePolicy, make_example_1, make_mesh,
-                    step_matrix)
+from mtfade import (FractionalOrders, Mesh, TimePolicy, make_example_1,
+                    make_mesh, march, step_matrix)
 from mtfade.amg import AdaptiveSolver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -62,3 +62,32 @@ def test_adaptive_solver_calls_through_amg_globals(monkeypatch, branch,
         np.ones(mats.a_full.m), force=branch)
     assert rep.converged and rep.branch == branch
     assert [name for name, n in calls.items() if n] == reached
+
+
+def test_graded_march_reaches_its_per_step_sites(monkeypatch):
+    # A graded step has its own step matrix, memory weights and (on the
+    # AMG branch) hierarchy; the traced layers must still see each of
+    # them once per step, from the sites the tracer patches.
+    spec = make_example_1(FractionalOrders((0.9, 0.4), (1.0, 1.0), 0.3, 0.8))
+    n_steps = 16
+    times = spec.horizon * (np.arange(n_steps + 1) / n_steps) ** 2
+    mesh = Mesh(m=64, h=1.0 / 64, taus=np.diff(times), times=times)
+    wanted = ("assembly.step_matrix", "assembly.history_weight", "amg.setup")
+    calls = dict.fromkeys(wanted, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, module, path in load_sites():
+        if name in wanted:
+            owner = importlib.import_module(module)
+            monkeypatch.setattr(owner, path,
+                                counting(name, getattr(owner, path)))
+    res = march(spec, mesh)
+    assert calls["assembly.step_matrix"] == n_steps
+    assert calls["assembly.history_weight"] == n_steps - 1
+    amg_steps = sum(r.branch == "amg" for r in res.per_step_reports)
+    assert amg_steps and calls["amg.setup"] >= amg_steps
