@@ -8,6 +8,8 @@ Solves the first-step system (tau = h, zero initial guess, tolerance
   * dense   - the same multigrid idea on stored dense matrices, O(M^2)
 
 The point: identical convergence behavior, wildly different cost scaling.
+At M = 8192, 16384 and 32768 only the fast hierarchy runs: its finest
+levels there use the FFT, and its cycle count stays flat.
 
 Run from the repository root:  python3 demos/solver_showdown.py
 """
@@ -55,6 +57,14 @@ def main():
 
         print(f"       hierarchy: {hierarchy.n_levels} levels, "
               f"{hierarchy.stored_entries} stored numbers (< 2M = {2 * m})")
+
+    for m in (8192, 16384, 32768):
+        mats, b = first_step(spec, m)
+        hierarchy = setup(mats.a_full)
+        t0 = time.perf_counter()
+        _, rep = amg_solve(hierarchy, b, tol=tol)
+        print(f"{m:>6} {'icamg':>7} {rep.iterations:>6} "
+              f"{time.perf_counter() - t0:>9.4f}")
 
 
 if __name__ == "__main__":

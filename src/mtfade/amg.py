@@ -10,18 +10,24 @@ factors (solvers.coarsest_inverse), so the cycle's direct solve there is
 one dense product.  Smoothing is one CF-Jacobi sweep with weight 1 (see
 cf_jacobi_sweep).  Set-up is therefore O(M) work and storage plus an
 inverse of fixed size; each V(1,1)-cycle costs O(M log M) through the
-Toeplitz matvec.
+FFT.
 
 A cycle makes only the products it needs: amg_solve's iteration loop
 (solvers.iterate) hands the true residual it has just checked to the
-cycle, whose first smoothing pass uses it, and every coarse level starts
-from a zero guess whose residual is its right-hand side.  On a level
-with a dense copy (m <= DENSE_MATVEC_CUTOFF) the second and third pass
-of a sweep compute only the rows they relax, half a product each.  One
-solver iteration is then the check plus, per smoothed level, one
-residual before restriction and five sweep passes: 4 products on a
-dense level, 6 on an FFT level, so 4 L + 1 when all L smoothed levels
-are dense.
+cycle, whose first smoothing pass uses it, every coarse level starts
+from a zero guess whose residual is its right-hand side, and the
+pre-sweep hands back the residual after its last pass for restriction.
+On a level with a dense copy (m <= DENSE_MATVEC_CUTOFF) the second and
+third pass of a sweep compute only the rows they relax, half a product
+each, and that residual is one product: 4 products per cycle.  Above
+the cutoff the sweeps work on the stride-2 blocks of the level's matrix
+(SymToeplitz.half_spectra) with transforms of length P >= m, half the
+pad of a full product: each pass transforms only the rows it relaxes
+and the half it changed, 15 transforms per cycle on the finest level
+and 14 on a coarse one (its zero guess has no odd half to transform),
+where six full products would take 12 of length 2P.  One solver
+iteration is then the check, one product, plus that work per smoothed
+level: 4 L + 1 products when all L smoothed levels are dense.
 
 When tau^alpha0 h^(-2 gamma) <= 1 the condition number of the step
 matrix is O(1), plain CG is cheaper, and the adaptive driver switches
@@ -140,12 +146,12 @@ def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: np.ndarray,
     if j == len(h.matrices) - 1:
         return coarse_solve(h, b)
     A = h.matrices[j]
-    x = cf_jacobi_sweep(A, x, b, r)
-    coarse = restrict_apply(b - A.matvec(x), A.m)
+    x, residual = cf_jacobi_sweep(A, x, b, r)
+    coarse = restrict_apply(residual(), A.m)
     # a zero guess, whose residual is its right-hand side
     x += interp_apply(_cycle(h, j + 1, coarse, np.zeros_like(coarse),
                              coarse), A.m)
-    return cf_jacobi_sweep(A, x, b)
+    return cf_jacobi_sweep(A, x, b)[0]
 
 
 def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
@@ -158,12 +164,13 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
     already computed; the first smoothing pass uses it instead of a
     product.  Coarse levels start from a zero guess, whose
     residual is the restricted right-hand side itself, so they make no
-    product with it either.  On L smoothed levels a cycle makes L
-    residual products before restriction and 2 L CF-Jacobi sweeps, whose
-    6 L passes take a product each except the first pass of every
-    pre-sweep (on the finest level, only when r is given); see
-    cf_jacobi_sweep for what a pass costs there.  b, x and r are not
-    written.
+    product with it either.  Each smoothed level makes two CF-Jacobi
+    sweeps and restricts the residual that the pre-sweep returns, so the
+    sweeps do all of a cycle's products: 4 on a level with a dense copy,
+    and 15 half-pad transforms on the finest level above
+    DENSE_MATVEC_CUTOFF, 14 on a coarse one.  Without r the finest level
+    takes one product more, or 17 transforms for a nonzero x; see
+    cf_jacobi_sweep.  b, x and r are not written.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (h.matrices[0].m,):
@@ -177,8 +184,9 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
 
     Each step of iterate() is one cycle, handed the true residual
     b - A x that iterate() has just checked, so one iteration makes
-    4 L + 1 products on L smoothed levels with a dense copy (see the
-    module docstring).
+    4 L + 1 products on L smoothed levels with a dense copy; a level
+    above DENSE_MATVEC_CUTOFF takes 14 half-pad transforms instead, 15
+    on the finest level (see the module docstring).
     """
     return iterate(h.matrices[0], b,
                    lambda b, x, r, budget: (vcycle(h, b, x, r), 1),

@@ -69,11 +69,10 @@ class DenseAmg:
         if level == len(self.prolongs):
             return self._coarsest_inv @ b
         A, P = self.matrices[level], self.prolongs[level]
-        x = cf_jacobi_sweep(A, x, b)
-        r = b - A @ x
-        xc = self._vcycle(level + 1, P.T @ r, np.zeros(P.shape[1]))
+        x, residual = cf_jacobi_sweep(A, x, b)
+        xc = self._vcycle(level + 1, P.T @ residual(), np.zeros(P.shape[1]))
         x = x + P @ xc
-        return cf_jacobi_sweep(A, x, b)
+        return cf_jacobi_sweep(A, x, b)[0]
 
     def solve(self, b: np.ndarray, tol: float = 1e-12, maxit: int = 1000):
         """Iterate V(1,1)-cycles (one per step of iterate()) to tol."""

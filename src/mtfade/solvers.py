@@ -4,6 +4,7 @@ multigrid's coarsest-level inverse, and the pivot-free dense solve."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,8 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
 
 
 def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
-                    r: np.ndarray | None = None) -> np.ndarray:
+                    r: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """One CF-Jacobi sweep: Jacobi relaxation (weight 1) of the F-points,
     then the C-points, then the F-points again.
 
@@ -119,12 +121,26 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     0-based even positions, C-points the odd ones; each pass uses the
     freshly updated residual.  This ordering damps the oscillatory error
     components far better than a simultaneous sweep on these matrices,
-    whose scaled spectral radius can approach 2.  The first pass takes
-    one product, or none when the caller passes r = b - A x (for a zero
-    x, r = b).  The other two passes take one FFT product each, except
-    on an operator with a dense copy D (a dense array, or a SymToeplitz
-    up to DENSE_MATVEC_CUTOFF), where they compute only the residual rows
-    they relax, D[s] @ x: half a product.
+    whose scaled spectral radius can approach 2.
+
+    Returns (x, residual): the relaxed copy of x, and a function of no
+    arguments that returns b - A x for that x, to be called (if at all)
+    before x is written.  The multigrid restricts the pre-sweep's
+    residual and drops the post-sweep's, which then costs nothing.
+
+    The first pass takes one residual, or none when the caller passes
+    r = b - A x (for a zero x, r = b).  On an operator with a dense copy
+    D (a dense array, or a SymToeplitz up to DENSE_MATVEC_CUTOFF) the
+    other two passes compute only the residual rows they relax,
+    D[s] @ x, half a product each, and residual() is one product A @ x.
+    Above the cutoff the sweep works on the stride-2 blocks of A
+    (SymToeplitz.half_spectra): it keeps the length-P spectra of x's even
+    and odd halves, each pass makes one inverse transform for the rows it
+    relaxes and re-transforms only the half it changed, and residual()
+    takes one forward and two inverse transforms.  An all-zero half
+    (a zero guess) is not transformed.  So a sweep from a given r takes
+    5 transforms of length P, or 4 from a zero guess, and one without r
+    takes 7; a full product takes two transforms of length 2P.
     """
     d = A.diagonal()
     per_row = isinstance(d, np.ndarray)  # a dense array's own diagonal
@@ -132,18 +148,55 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
         raise ValueError("Jacobi needs a positive diagonal")
     x = np.array(x, dtype=np.float64)
     w = 1.0 / d
-    if per_row:
-        dense = A
-    else:
-        dense = A.to_dense() if A.m <= DENSE_MATVEC_CUTOFF else None
+    if not per_row and A.m > DENSE_MATVEC_CUTOFF:
+        return _stride2_sweep(A, x, b, r, w)
+    dense = A if per_row else A.to_dense()
     if r is None:
-        r = b - (A if dense is None else dense) @ x
+        r = b - dense @ x
     rs = r[_FCF[0]]
     for k, s in enumerate(_FCF):
         if k:
-            rs = b[s] - dense[s] @ x if dense is not None else (b - A @ x)[s]
+            rs = b[s] - dense[s] @ x
         x[s] += rs * (w[s] if per_row else w)
-    return x
+    # A.matvec, not A @ x: the `@` dispatch to a SymToeplitz costs about a
+    # microsecond, some 2% of a V-cycle at M = 256.
+    product = A.__matmul__ if per_row else A.matvec
+    return x, lambda: b - product(x)
+
+
+def _stride2_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
+                   r: np.ndarray | None, w: float
+                   ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """cf_jacobi_sweep above DENSE_MATVEC_CUTOFF, on the spectra of x's
+    F (even) and C (odd) halves; x is the sweep's own copy."""
+    pad, s_ee, s_eo = T.half_spectra()
+    F, C = _FCF[0], _FCF[1]
+    nf, nc = (T.m + 1) // 2, T.m // 2
+
+    def spectrum(v):
+        return np.fft.rfft(v, n=pad) if v.any() else 0.0
+
+    def f_rows(xf, xc):  # (b - T x)[F]
+        return b[F] - np.fft.irfft(s_ee * xf + s_eo * xc, n=pad)[:nf]
+
+    def c_rows(xf, xc):  # (b - T x)[C]
+        return b[C] - np.fft.irfft(s_eo.conj() * xf + s_ee * xc,
+                                   n=pad)[:nc]
+
+    xc = spectrum(x[C])
+    x[F] += (f_rows(spectrum(x[F]), xc) if r is None else r[F]) * w
+    xf = np.fft.rfft(x[F], n=pad)
+    x[C] += c_rows(xf, xc) * w
+    xc = np.fft.rfft(x[C], n=pad)
+    x[F] += f_rows(xf, xc) * w
+
+    def residual():
+        xf = np.fft.rfft(x[F], n=pad)
+        out = np.empty_like(x)
+        out[F] = f_rows(xf, xc)
+        out[C] = c_rows(xf, xc)
+        return out
+    return x, residual
 
 
 def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,

@@ -9,6 +9,17 @@ which is faster at those sizes.  The dense copy is one strided view of
 the symbol, copied once, and read-only: a SymToeplitz may be shared (the
 step matrices share their mass matrix per mesh), so no caller may write
 into it.
+
+The multigrid smoother relaxes the even positions E and the odd ones O
+in turn, so above the cutoff it works on the stride-2 blocks of T
+instead of full products (solvers.cf_jacobi_sweep).  T_EE and T_OO are
+symmetric Toeplitz with symbol t[0::2], T_EO has the entry t_|2k-1| at
+lag k = a - b, and T_OE = T_EO^T.  All four embed in one circulant of
+size P >= m, half the pad of a full product, so half_spectra() keeps
+two spectra: S_EE, which is real and is also S_OO, and S_EO, whose
+conjugate is S_OE (Chan & Ng, "Conjugate gradient methods for Toeplitz
+systems", SIAM Rev. 38, 1996).  Like the full spectrum, they are built
+on first use and held by the instance alone.
 """
 
 from __future__ import annotations
@@ -37,11 +48,14 @@ class SymToeplitz:
         self.symbol = symbol
         self.m = symbol.size
         self.shape = (self.m, self.m)
-        # Lazy state: spectrum of the circulant embedding, dense copy for
-        # small m.  Both write-once, so concurrent readers at worst
-        # duplicate work.
+        # Lazy state: spectrum of the circulant embedding, the stride-2
+        # blocks' spectra, dense copy for small m.  All write-once, so
+        # concurrent readers at worst duplicate work.  None of them refers
+        # back to the instance, so a dropped matrix dies by reference
+        # counting alone.
         self._spectrum = None
         self._pad = 0
+        self._half = None
         self._dense = None
 
     def _embed_spectrum(self):
@@ -52,6 +66,28 @@ class SymToeplitz:
         col[: self.m] = t
         col[pad - self.m + 1 :] = t[1:][::-1]
         return pad, np.fft.rfft(col)
+
+    def half_spectra(self):
+        """(P, S_EE, S_EO): the circulant spectra (numpy.fft.rfft, length
+        P // 2 + 1) of the stride-2 blocks, P the smallest power of two
+        >= m.  With X_E and X_O the length-P spectra of x[0::2] and
+        x[1::2], (T x)[0::2] is the first ceil(m/2) entries of
+        irfft(S_EE X_E + S_EO X_O) and (T x)[1::2] the first floor(m/2)
+        of irfft(conj(S_EO) X_E + S_EE X_O).  S_EE is real.  Needs
+        m >= 2; cached."""
+        if self._half is None:
+            t, m = self.symbol, self.m
+            pad = 1 << (m - 1).bit_length()
+            n_even, n_odd = (m + 1) // 2, m // 2
+            col = np.zeros(pad)  # lags 0, 1, ..., then the negative ones
+            col[:n_even] = t[0::2]
+            col[pad - n_even + 1:] = t[2::2][::-1]
+            s_ee = np.fft.rfft(col).real.copy()
+            col[:] = 0.0
+            col[:n_even] = t[np.abs(2 * np.arange(n_even) - 1)]  # t_|2k-1|
+            col[pad - n_odd + 1:] = t[2 * n_odd - 1:2:-2]  # t_2j+1, lag -j
+            self._half = (pad, s_ee, np.fft.rfft(col))
+        return self._half
 
     def matvec(self, x):
         """Return T @ x for a vector x: a cached dense product up to

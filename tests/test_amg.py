@@ -1,5 +1,9 @@
 """Hierarchy construction, transfer operators, and the multigrid solves."""
 
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -194,6 +198,29 @@ class TestSetup:
                 want = np.linalg.solve(A.to_dense(), b)
                 assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
 
+    def test_dropped_hierarchy_dies_without_the_collector(self):
+        # The FFT levels' stride-2 spectra are built on first use, held by
+        # their matrix alone and refer to nothing back: set-up builds none,
+        # and once a solve has built them, dropping the hierarchy frees its
+        # coarse matrices by reference counting, with no cycle for the
+        # garbage collector to find.  At M = 2048 three levels use them.
+        A, b = first_step_system(2048)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = setup(A)
+            assert all(T._half is None for T in h.matrices)
+            _, rep = amg_solve(h, b)
+            assert rep.converged
+            fft = [T for T in h.matrices if T.m > DENSE_MATVEC_CUTOFF]
+            assert len(fft) == 3 and all(T._half is not None for T in fft)
+            coarse = [weakref.ref(T) for T in h.matrices[1:]]
+            del h, fft
+            assert all(ref() is None for ref in coarse)
+        finally:
+            if enabled:
+                gc.enable()
+
     # 8 and 16: the finest level is the coarsest; from 32 on the coarsest
     # has 15 unknowns.
     @pytest.mark.parametrize("m", [8, 16, 32, 64, 256, 4096])
@@ -280,20 +307,25 @@ class TestVcycleSolve:
         assert np.linalg.norm(got - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
     def test_product_count(self, monkeypatch):
-        # SymToeplitz.matvec calls in one iteration: the check, one
-        # residual before restriction per smoothed level, and five sweep
-        # products on each smoothed level above DENSE_MATVEC_CUTOFF (three
-        # per CF-Jacobi sweep, two sweeps, the pre-sweep's first pass
-        # reusing a known residual).  Below the cutoff the sweeps work on
-        # the dense copy, and the coarsest solve is one dense product, so
-        # neither calls matvec.  Each smoothed level is swept twice.  At
-        # M = 256 every level has a dense copy; at 1024 the two finest
-        # use the FFT.
+        # SymToeplitz.matvec calls in one iteration: the check, and the
+        # pre-sweep's residual on each smoothed level with a dense copy
+        # (m <= DENSE_MATVEC_CUTOFF), which the cycle restricts; the
+        # sweeps' own passes there compute rows of the dense copy, and the
+        # coarsest solve is one dense product, so neither calls matvec.
+        # An FFT level makes no matvec at all: its sweeps work on the
+        # stride-2 spectra, 15 transforms of the half pad P per cycle on
+        # the finest level (8 for the pre-sweep from the checked residual
+        # and its residual, 7 for the post-sweep) and 14 on a coarse level
+        # (the zero guess's odd half is not transformed).  The first cycle
+        # of a solve from zero has a zero guess on the finest level too.
+        # Each smoothed level is swept twice.  At M = 256 every level has
+        # a dense copy; at 1024 the two finest use the FFT.
         systems = [first_step_system(m) for m in (256, 1024)]
         hierarchies = [setup(A) for A, _ in systems]
-        calls, swept = [], []
+        calls, swept, transforms = [], [], []
         matvec = SymToeplitz.matvec
         sweep = mtfade.amg.cf_jacobi_sweep
+        rfft, irfft = np.fft.rfft, np.fft.irfft
 
         def counted(self, x):
             calls.append(self.m)
@@ -303,22 +335,44 @@ class TestVcycleSolve:
             swept.append(A.m)
             return sweep(A, *args)
 
+        def counted_fft(fft):
+            def wrapper(a, n=None, **kwargs):
+                transforms.append(n)
+                return fft(a, n=n, **kwargs)
+            return wrapper
+
         monkeypatch.setattr(SymToeplitz, "matvec", counted)
         monkeypatch.setattr(mtfade.amg, "cf_jacobi_sweep", counted_sweep)
+        monkeypatch.setattr(np.fft, "rfft", counted_fft(rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted_fft(irfft))
         for (A, b), h in zip(systems, hierarchies):
             smoothed = [T.m for T in h.matrices[:-1]]
-            n_fft = sum(k > DENSE_MATVEC_CUTOFF for k in smoothed)
-            per_cycle = len(smoothed) + 5 * n_fft
+            dense = [k for k in smoothed if k <= DENSE_MATVEC_CUTOFF]
+            pads = [T.half_spectra()[0] for T in h.matrices[:-1]
+                    if T.m > DENSE_MATVEC_CUTOFF]
             calls.clear()
             swept.clear()
+            transforms.clear()
             _, rep = amg_solve(h, b, tol=1e-12)
-            assert rep.converged and rep.iterations > 0
-            assert len(calls) == rep.iterations * (per_cycle + 1) + 1
-            assert set(calls) == set(smoothed)
-            assert sorted(swept) == sorted(rep.iterations * 2 * smoothed)
-            calls.clear()
-            vcycle(h, b, np.zeros(A.m))  # no residual handed in
-            assert len(calls) == per_cycle + (A.m > DENSE_MATVEC_CUTOFF)
+            it = rep.iterations
+            assert rep.converged and it > 0
+            assert len(calls) == it * (len(dense) + 1) + 1
+            assert set(calls) == ({A.m} | set(dense))
+            assert sorted(swept) == sorted(it * 2 * smoothed)
+            want = {p: 14 * it for p in pads}
+            if pads:
+                want[pads[0]] += it - 1
+                want[2 * A.half_spectra()[0]] = 2 * (it + 1)  # the checks
+            assert Counter(transforms) == want
+            # No residual handed in: the finest pre-sweep computes its
+            # F-rows first, from both halves' spectra unless x is zero.
+            for x, finest in ((np.zeros(A.m), 15), (b, 17)):
+                calls.clear()
+                transforms.clear()
+                vcycle(h, b, x)
+                assert len(calls) == len(dense)
+                if pads:
+                    assert Counter(transforms)[pads[0]] == finest
 
     # 8: the cycle is the one-level direct solve; 256: every level has a
     # dense copy; 1024: the finest level uses the FFT product.

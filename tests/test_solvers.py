@@ -14,6 +14,7 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     make_mesh, setup, step_matrix)
 from mtfade.assembly import initial_state, rhs_vector
 from mtfade.solvers import lu_nopivot, lu_solve_nopivot, norm2
+from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
 
 def spd_toeplitz(m, seed=0):
@@ -61,7 +62,7 @@ class TestCfJacobi:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(30)
         b = rng.standard_normal(30)
-        got = cf_jacobi_sweep(T, x, b)
+        got = cf_jacobi_sweep(T, x, b)[0]
         want = x.copy()
         for grp in "FCF":
             r = b - dense @ want
@@ -70,9 +71,9 @@ class TestCfJacobi:
         assert np.allclose(got, want, rtol=1e-13)
         # a residual handed in replaces the first pass's product
         r = b - T.matvec(x)
-        assert np.array_equal(cf_jacobi_sweep(T, x, b, r=r), got)
+        assert np.array_equal(cf_jacobi_sweep(T, x, b, r=r)[0], got)
         # the dense matrix is an operator with a diagonal too
-        assert np.allclose(cf_jacobi_sweep(dense, x, b), got, rtol=1e-13)
+        assert np.allclose(cf_jacobi_sweep(dense, x, b)[0], got, rtol=1e-13)
 
     def test_rejects_nonpositive_diagonal(self):
         T = SymToeplitz(np.array([-1.0, 0.2, 0.1, 0.0]))
@@ -85,6 +86,32 @@ class TestCfJacobi:
         x = np.ones(10)
         cf_jacobi_sweep(T, x, np.zeros(10))
         assert np.array_equal(x, np.ones(10))
+
+    # Above DENSE_MATVEC_CUTOFF the sweep works on the stride-2 spectra;
+    # the per-row dense branch on the same matrix is its oracle.  Odd and
+    # even sizes, one just above the cutoff, one just below a power of two.
+    @pytest.mark.parametrize("m", [385, 386, 1023, 1024])
+    def test_fft_sweep_matches_the_dense_sweep(self, m):
+        T, _ = first_step_set1(m + 1)
+        assert T.m == m > DENSE_MATVEC_CUTOFF
+        dense = T.to_dense()
+        rng = np.random.default_rng(m)
+        b = rng.standard_normal(m)
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        # a warm x with and without its residual, and a zero guess (x = 0,
+        # r = b, as on a coarse level), whose odd half is not transformed
+        x = rng.standard_normal(m)
+        for x, r in ((x, None), (x, b - T.matvec(x)),
+                     (np.zeros(m), None), (np.zeros(m), b)):
+            want, want_residual = cf_jacobi_sweep(dense, x, b, r)
+            got, residual = cf_jacobi_sweep(T, x, b, r)
+            assert close(got, want)
+            r_after = residual()
+            assert close(r_after, want_residual())
+            assert close(r_after, b - T.matvec(got))
 
 
 class TestNorm2:

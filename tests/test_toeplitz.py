@@ -121,3 +121,52 @@ def test_dense_copy_is_read_only():
     with pytest.raises(ValueError):
         T.to_dense()[0, 0] = 0.0
     assert np.array_equal(T.matvec(x), before)
+
+
+@pytest.mark.parametrize("m", [385, 386, 1023, 1024])
+def test_stride2_blocks_match_the_full_product(m):
+    # odd and even m: the four stride-2 blocks from the two half spectra,
+    # against the even and odd rows of the full circulant product and the
+    # dense blocks
+    T = SymToeplitz(random_symbol(m, seed=m))
+    assert m > DENSE_MATVEC_CUTOFF and T._half is None  # built on first use
+    pad, s_ee, s_eo = T.half_spectra()
+    assert pad == 1 << (m - 1).bit_length()  # >= m: half a full pad
+    assert 2 * pad == T._embed_spectrum()[0]
+    assert s_ee.dtype == np.float64  # real
+    assert s_ee.shape == s_eo.shape == (pad // 2 + 1,)
+    assert T.half_spectra()[1] is s_ee  # cached
+    dense = scipy.linalg.toeplitz(T.symbol)
+    ev, od = slice(0, None, 2), slice(1, None, 2)
+    nf, nc = (m + 1) // 2, m // 2
+    x = np.random.default_rng(m + 2).standard_normal(m)
+    xf, xc = np.fft.rfft(x[ev], n=pad), np.fft.rfft(x[od], n=pad)
+
+    def block(spectrum, xs, rows):
+        return np.fft.irfft(spectrum * xs, n=pad)[:rows]
+
+    full = T._circulant_product(x)
+    scale = np.max(np.abs(full))
+    for got, want in (
+            (block(s_ee, xf, nf) + block(s_eo, xc, nf), full[ev]),
+            (block(s_eo.conj(), xf, nc) + block(s_ee, xc, nc), full[od]),
+            (block(s_ee, xf, nf), dense[ev, ev] @ x[ev]),
+            (block(s_eo, xc, nf), dense[ev, od] @ x[od]),
+            (block(s_eo.conj(), xf, nc), dense[od, ev] @ x[ev]),
+            (block(s_ee, xc, nc), dense[od, od] @ x[od])):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    # the identities behind storing two spectra: the circulant column of
+    # T_OE alone (entry t_|2k+1| at lag k = a - b) has the spectrum
+    # conj(S_EO), and that of T_OO alone (symbol t[0::2] up to lag
+    # m // 2 - 1) acts on the odd half as S_EE does
+    t = T.symbol
+    col_oe, col_oo = np.zeros(pad), np.zeros(pad)
+    for k in range(-(nf - 1), nc):
+        col_oe[k % pad] = t[abs(2 * k + 1)]
+    for k in range(-(nc - 1), nc):
+        col_oo[k % pad] = t[abs(2 * k)]
+    s_oe = np.fft.rfft(col_oe)
+    assert np.max(np.abs(s_oe - s_eo.conj())) <= 1e-14 * np.max(np.abs(s_eo))
+    s_oo = np.fft.rfft(col_oo)
+    assert np.max(np.abs(block(s_oo, xc, nc) - block(s_ee, xc, nc))) <= (
+        1e-13 * scale)
