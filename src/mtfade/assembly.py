@@ -341,12 +341,16 @@ def _memory_row(orders, mesh: Mesh, n: int) -> np.ndarray:
 
 
 def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
-               mats: StepMatrix) -> np.ndarray:
+               mats: StepMatrix, au: np.ndarray | None = None
+               ) -> np.ndarray:
     """Assemble the scaled right-hand side for time level n = len(states).
 
     states holds U^0 .. U^{n-1} as rows, and mats is the step matrix A
-    for this level's time step.  With s = Gamma(3 - alpha0)
-    tau^(alpha0 - 1) and the memory sum mem = sum_k w_k (U^k - U^{k-1}),
+    for this level's time step.  au is A U^{n-1} when the caller has
+    already taken it with mats.a_full.matvec (march shares it with the
+    projected start), and is otherwise taken here.  With
+    s = Gamma(3 - alpha0) tau^(alpha0 - 1) and the memory sum
+    mem = sum_k w_k (U^k - U^{k-1}),
 
         F^n = s F_src + M (2 c_mass U^{n-1} - s mem) - A U^{n-1},
 
@@ -371,5 +375,6 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
     v = 2.0 * mats.c_mass * u_prev
     if n > 1:
         v += s * (_memory_row(spec.orders, mesh, n) @ states)
-    return (s * source_moment(spec, mesh, n) + mats.mass.matvec(v)
-            - mats.a_full.matvec(u_prev))
+    if au is None:
+        au = mats.a_full.matvec(u_prev)
+    return s * source_moment(spec, mesh, n) + mats.mass.matvec(v) - au

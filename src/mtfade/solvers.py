@@ -8,6 +8,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ddot, idamax
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
@@ -22,6 +23,7 @@ from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
 # 31 has not been measured across whole marches, so the size stays 15.
 COARSEST_MAX = 15
 _FCF = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
+_EPS2 = float(np.finfo(np.float64).eps) ** 2
 
 
 @dataclass
@@ -34,12 +36,14 @@ class SolveReport:
 
 
 def norm2(v: np.ndarray) -> float:
-    """The 2-norm sqrt(v.v); when v.v is not finite, the norm of v scaled
-    by the power of two of max|v| (exact), scaled back.  So a finite v
-    whose squares overflow has its finite norm, and a v with an inf or
-    nan entry keeps a norm that is not finite."""
-    with np.errstate(over="ignore"):
-        vv = float(v.dot(v))
+    """The 2-norm sqrt(v.v) of a vector v, taken in float64; when v.v is
+    not finite, the norm of v scaled by the power of two of max|v|
+    (exact), scaled back.  So a finite v whose squares overflow has its
+    finite norm, and a v with an inf or nan entry keeps a norm that is
+    not finite.  v.v is BLAS ddot, which is what numpy's v.dot(v) calls
+    and raises no floating-point warning, so an overflowing v.v costs no
+    error-state switch on the call that does not overflow."""
+    vv = ddot(v, v) if len(v) else 0.0
     if math.isfinite(vv):
         return math.sqrt(vv)
     big = float(np.max(np.abs(v)))
@@ -48,9 +52,16 @@ def norm2(v: np.ndarray) -> float:
     e = math.frexp(big)[1]
     v = np.ldexp(v, -e)
     try:
-        return math.ldexp(math.sqrt(float(v.dot(v))), e)
+        return math.ldexp(math.sqrt(ddot(v, v)), e)
     except OverflowError:  # the norm itself exceeds the float range
         return math.inf
+
+
+def _exponent(v: np.ndarray) -> int:
+    """The frexp exponent e of max|v| for a nonempty float64 v, so that
+    2^-e v has entries below 1 in magnitude; the entry is found by BLAS
+    idamax.  e is 0 when that entry is not finite."""
+    return math.frexp(abs(v[idamax(v)]))[1]
 
 
 def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
@@ -82,7 +93,7 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
     b = np.asarray(b, dtype=np.float64)
     if not b.any():
         return np.zeros_like(b), SolveReport(0, 0.0, True, "converged", branch)
-    e = int(np.frexp(max(b.max(), -b.min()))[1])  # of max|b|, no temporary
+    e = _exponent(b)
     b = np.ldexp(b, -e)
     bnorm = norm2(b)
     x = np.zeros_like(b) if x0 is None else np.ldexp(
@@ -215,31 +226,38 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
     convergence: iterate() confirms it on b - T x, and otherwise CG
     restarts from that true residual.  A step that cannot take a single
     iteration is a breakdown.
+
+    A call that converges in k iterations of one restart makes k + 2
+    products with T: one per iteration and iterate()'s check before and
+    after.  Everything else is fixed: T.matvec is looked up once per
+    call, the inner products and norms are BLAS ddot calls, and the
+    first iteration starts from d = 0 and p = r without forming either.
     """
-    def recurrence(x, r, rr, budget, bnorm):
-        p = r.copy()
-        floor = np.finfo(np.float64).eps ** 2 * rr
+    matvec = T.matvec
+
+    def recurrence(r, rr, budget, bnorm):
+        p, d = r, None
+        floor = _EPS2 * rr
         for k in range(budget):
             if k and (math.sqrt(rr) / bnorm <= tol or rr <= floor):
-                return x, k
-            Ap = T.matvec(p)
-            pAp = float(p @ Ap)
+                return d, k
+            Ap = matvec(p)
+            pAp = ddot(p, Ap)
             if not (math.isfinite(pAp) and pAp > 0.0):
-                return x, k
+                return d, k
             alpha = rr / pAp
-            x = x + alpha * p
+            d = alpha * p if d is None else d + alpha * p
             r = r - alpha * Ap
-            rr_new = float(r @ r)
+            rr_new = ddot(r, r)
             p = r + (rr_new / rr) * p
             rr = rr_new
-        return x, budget
+        return d, budget
 
     def step(b, x, r, budget):
-        e = math.frexp(float(np.max(np.abs(r))))[1]
+        e = _exponent(r)
         r = np.ldexp(r, -e)
-        d, k = recurrence(np.zeros_like(x), r, float(r @ r), budget,
-                          math.ldexp(np.linalg.norm(b), -e))
-        return x + np.ldexp(d, e), k
+        d, k = recurrence(r, ddot(r, r), budget, math.ldexp(norm2(b), -e))
+        return (x + np.ldexp(d, e) if k else x), k
 
     return iterate(T, b, step, tol, maxit, x0, "cg")
 

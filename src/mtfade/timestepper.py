@@ -34,8 +34,10 @@ class RunResult:
     """A finished march.  states holds U^0 .. U^N as rows.  The phase
     timers are wall seconds and together cover the step loop: setup
     covers the step matrices and solvers (once on a uniform mesh, every
-    step on a graded one), rhs the right-hand sides, solve the linear
-    solves and the projected start of each (ProjectedStart)."""
+    step on a graded one), rhs the right-hand sides and the products
+    A x_j of the projected start, which share A U^{n-1} with them
+    (ProjectedStart.advance), solve the linear solves and the rest of
+    the projected start."""
 
     states: np.ndarray
     l2_error: Optional[float]
@@ -67,9 +69,10 @@ class ProjectedStart:
     own Gram matrix loses.
 
     The products A x_j are kept, oldest first, against the step matrix
-    they were taken with: a uniform mesh adds one product per step, for
-    U^{n-1}; a new matrix (every step of a graded mesh) retakes all of
-    them as one block product.  When the Gram matrix is singular, or the
+    they were taken with (advance): a uniform mesh adds one product per
+    step, A U^{n-1}, which the step's right-hand side shares; a new
+    matrix (every step of a graded mesh) retakes all of them as one
+    block product.  When the Gram matrix is singular, or the
     projection's residual does not beat U^{n-1}'s by more than its own
     rounding (a numerically singular Gram matrix, states that differ by
     rounding, a non-finite value), the start is U^{n-1}.
@@ -80,18 +83,34 @@ class ProjectedStart:
         self._matrix = None
         self._level = 0
 
-    def start(self, A, b: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """x0 for A x = b at level n = len(states); states holds
-        U^0 .. U^{n-1} as rows and is only read."""
+    def advance(self, A, states: np.ndarray) -> np.ndarray:
+        """Bring the products up to level n = len(states) and return
+        A U^{n-1} as A.matvec takes it, for the step's right-hand side
+        (rhs_vector's au).  On the same matrix one level on, that is
+        the one new product, shared; otherwise the window is retaken as
+        one block product, whose rows need not match matvec's bitwise,
+        and A U^{n-1} is taken on its own."""
         n = len(states)
         x = states[max(0, n - PROJECTION_WINDOW):]
         ax = self._products[PROJECTION_WINDOW - len(x):]
+        au = A.matvec(x[-1])
         if A is self._matrix and n == self._level + 1:
             self._products[:-1] = self._products[1:]
-            ax[-1] = A.matvec(x[-1])
+            ax[-1] = au
         else:
             ax[:] = A.row_products(x)
         self._matrix, self._level = A, n
+        return au
+
+    def start(self, A, b: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """x0 for A x = b at level n = len(states); states holds
+        U^0 .. U^{n-1} as rows and is only read.  The products are
+        brought up to that level first unless advance already did."""
+        n = len(states)
+        if A is not self._matrix or n != self._level:
+            self.advance(A, states)
+        x = states[max(0, n - PROJECTION_WINDOW):]
+        ax = self._products[PROJECTION_WINDOW - len(x):]
         u, au = x[-1], ax[-1]
         d = x - u
         d[-1] = u
@@ -130,14 +149,17 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
     nodes.  Each step assembles the right-hand side from the states so
     far and solves with the adaptive solver, started from the Galerkin
     projection of its system onto the last PROJECTION_WINDOW states
-    (ProjectedStart).  The start costs one step-matrix product per step
-    on a uniform mesh and PROJECTION_WINDOW, as one block product, on a
-    graded one; it is timed with the solves.  The states fill one
-    (N+1, M-1) array, allocated up front.  A uniform time mesh shares
-    one step matrix and solver across all steps.  A graded one builds
-    each step's matrix from the mesh's cached mass and stiffness symbols
-    (only the three coefficients depend on the step) and a hierarchy
-    for it; every step shares the one mass matrix.
+    (ProjectedStart).  The start needs the products A x_j of those
+    states: on a uniform mesh only A U^{n-1} is new, and the right-hand
+    side shares it, so a step takes one step-matrix product before its
+    solve; a graded step retakes all PROJECTION_WINDOW as one block
+    product and A U^{n-1} on its own.  The products are timed with the
+    right-hand sides and the rest of the start with the solves.  The
+    states fill one (N+1, M-1) array, allocated up front.  A uniform
+    time mesh shares one step matrix and solver across all steps.  A
+    graded one builds each step's matrix from the mesh's cached mass and
+    stiffness symbols (only the three coefficients depend on the step)
+    and a hierarchy for it; every step shares the one mass matrix.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -155,9 +177,11 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
         if n > 1 and not uniform:
             solver = _step_solver(spec, mesh, n, force)
         t1 = clock()
-        b = rhs_vector(spec, mesh, states[:n], solver.mats)
+        A = solver.mats.a_full
+        b = rhs_vector(spec, mesh, states[:n], solver.mats,
+                       projection.advance(A, states[:n]))
         t2 = clock()
-        x0 = projection.start(solver.mats.a_full, b, states[:n])
+        x0 = projection.start(A, b, states[:n])
         x, rep = solver.solve(b, tol=tol, x0=x0, force=force)
         t3 = clock()
         setup_seconds += t1 - t0

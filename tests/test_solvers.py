@@ -2,6 +2,7 @@
 pivot-free LU."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ class TestNorm2:
         assert np.isnan(norm2(np.array([1e200, np.nan])))
         assert np.isnan(norm2(np.array([1.0, np.nan])))
 
+    def test_views_and_other_dtypes_are_taken_in_double(self):
+        # A float32 v is summed in float64, where np.linalg.norm(v) would
+        # sum it in float32; an empty v has norm 0.
+        v = 1e3 * np.random.default_rng(16).standard_normal(301)
+        for w in (v[::3], v[300:0:-7], v[5:200:2], v.astype(np.float32),
+                  v[1::2].astype(np.float32), v.astype(np.int64),
+                  v[::-2].astype(np.int32), v[:0]):
+            assert norm2(w) == np.linalg.norm(w.astype(np.float64))
+
+    def test_overflow_and_nonfinite_entries_raise_no_warning(self):
+        v = np.random.default_rng(15).standard_normal(100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm2(1e200 * v) == pytest.approx(
+                1e200 * np.linalg.norm(v), rel=1e-14)
+            assert norm2(np.full(4, 1e300)) == pytest.approx(2e300,
+                                                             rel=1e-15)
+            assert norm2(np.full(4, 1e308)) == np.inf
+            assert norm2(np.array([1e200, np.inf])) == np.inf
+            assert np.isnan(norm2(np.array([1e200, np.nan])))
+
 
 class TestCg:
     def test_solves_to_tolerance(self):
@@ -166,6 +188,33 @@ class TestCg:
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 cg_solve(T, b, tol=tol)
+
+    @pytest.mark.parametrize("m", [31, DENSE_MATVEC_CUTOFF + 116])
+    def test_product_count(self, monkeypatch, m):
+        # A warm-started call that converges in k iterations of one
+        # restart makes k + 2 products with T: one per iteration, and
+        # iterate()'s checks before and after; a product taken through a
+        # patched SymToeplitz.matvec is seen, as the benchmark's trace
+        # sees it.
+        T = spd_toeplitz(m, seed=17)
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(m)
+        b = T.matvec(x)
+        calls = []
+        matvec = SymToeplitz.matvec
+
+        def counted(self, v):
+            calls.append(self)
+            return matvec(self, v)
+
+        monkeypatch.setattr(SymToeplitz, "matvec", counted)
+        for scale in (1e-2, 1e-6, 1e-10):
+            calls.clear()
+            x0 = x + scale * rng.standard_normal(m)
+            _, rep = cg_solve(T, b, tol=1e-12, x0=x0)
+            assert rep.converged and rep.iterations > 0
+            assert len(calls) == rep.iterations + 2
+            assert all(c is T for c in calls)
 
     def test_breakdown_is_reported(self):
         # A negative diagonal gives p.Ap < 0 at the first step.

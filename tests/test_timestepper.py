@@ -200,6 +200,38 @@ class TestProjectedStart:
                 proj._products[-len(window):], A.row_products(window),
                 rtol=0, atol=1e-13 * np.abs(window).max())
 
+    @pytest.mark.parametrize("policy", [TimePolicy.TAU_EQ_H,
+                                        TimePolicy.TAU_EQ_H2])
+    def test_uniform_step_takes_one_product_outside_the_solve(
+            self, monkeypatch, policy):
+        # A U^{n-1} serves both the right-hand side and the projected
+        # start: one step-matrix product per step before the solve (step
+        # 1 retakes its one-row window as a block product, not a matvec).
+        spec = make_example_1(orders())
+        mesh = make_mesh(spec, 16, policy)
+        mass = step_matrix(spec, mesh, 1).mass  # one object per mesh
+        outside, solving = [], []
+        matvec = type(mass).matvec
+        solve = AdaptiveSolver.solve
+
+        def counted(self, x):
+            if not solving and self is not mass:
+                outside.append(self)
+            return matvec(self, x)
+
+        def solving_flagged(self, *args, **kwargs):
+            solving.append(True)
+            try:
+                return solve(self, *args, **kwargs)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(type(mass), "matvec", counted)
+        monkeypatch.setattr(AdaptiveSolver, "solve", solving_flagged)
+        march(spec, mesh, tol=1e-12)
+        assert len(outside) == mesh.n_steps
+        assert len({id(a) for a in outside}) == 1  # the one step matrix
+
     @pytest.mark.parametrize("history", ["zero", "identical", "collinear",
                                          "zero-then-one", "rounding-noise",
                                          "huge"])
@@ -252,6 +284,22 @@ class TestProjectedStart:
         assert res.solve_seconds >= slept
         assert res.rhs_seconds < 0.5 * slept
         assert res.setup_seconds < 0.5 * slept
+
+
+class TestCgMarch:
+    def test_counts_and_error_are_pinned(self):
+        # The benchmark's march-tau-h2 case: example 1, SET1, M = 32 and
+        # tau = h^2 (N = 512).  tau^alpha0 h^(-2 gamma) <= 1 at every step,
+        # so every step is one CG solve from the projected start; a change
+        # of the start, the right-hand side or CG shows here as moved
+        # counts or digits.
+        spec = make_example_1(orders())
+        mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H2)
+        res = march(spec, mesh, tol=1e-12)
+        assert mesh.n_steps == 512
+        assert [r.branch for r in res.per_step_reports] == ["cg"] * 512
+        assert res.total_iterations == 777
+        assert res.l2_error == pytest.approx(1.3544165292835e-2, rel=1e-12)
 
 
 class TestGradedMarch:
