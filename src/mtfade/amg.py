@@ -5,12 +5,13 @@ uses a stride-2 C/F splitting, half-weight interpolation (every nonzero
 transfer weight is 1/2), and a closed-form Galerkin convolution that
 keeps every coarse-level matrix symmetric Toeplitz; it coarsens until at
 most COARSEST_MAX = 15 unknowns remain, as the dense oracle (camg_dense)
-does.  Set-up inverts that coarsest level once from its LAPACK LU
-factors (solvers.coarsest_inverse), so the cycle's direct solve there is
-one dense product.  Smoothing is one CF-Jacobi sweep with weight 1 (see
-cf_jacobi_sweep).  Set-up is therefore O(M) work and storage plus an
-inverse of fixed size; each V(1,1)-cycle costs O(M log M) through the
-FFT.
+does.  That coarsest matrix is a Galerkin product of an SPD matrix, so
+it is SPD: set-up takes its Cholesky factor once (LAPACK dpotrf,
+solvers.coarsest_cholesky), and the cycle's direct solve there is one
+dpotrs call.  Smoothing is one CF-Jacobi sweep with weight 1 (see
+cf_jacobi_sweep).  Set-up is therefore O(M) work and storage plus a
+factorization of fixed size; each V(1,1)-cycle costs O(M log M) through
+the FFT.
 
 A cycle makes only the products it needs: amg_solve's iteration loop
 (solvers.iterate) hands the true residual it has just checked to the
@@ -29,6 +30,15 @@ where six full products would take 12 of length 2P.  One solver
 iteration is then the check, one product, plus that work per smoothed
 level: 4 L + 1 products when all L smoothed levels are dense.
 
+At the sizes of a dense level a cycle's fixed cost per call is what is
+left to cut, so nothing is re-derived per call: a sweep reads the rows
+it relaxes from views of the dense copy cached on the matrix
+(SymToeplitz.dense_rows) and takes its residual straight from that copy,
+a coarse level's zero guess is a fresh np.zeros, and the transfers take
+their float64 vectors as they are.  The cycle still calls the smoother,
+the transfers and the coarse solve through this module's globals, where
+a tracer can wrap them.
+
 When tau^alpha0 h^(-2 gamma) <= 1 the condition number of the step
 matrix is O(1), plain CG is cheaper, and the adaptive driver switches
 to it.
@@ -46,14 +56,15 @@ from .assembly import StepMatrix
 from .problem import Mesh, ProblemSpec
 from .camg_dense import direct_interp
 from .solvers import (COARSEST_MAX, cf_jacobi_sweep, cg_solve,
-                      coarsest_inverse, iterate, lu_nopivot, lu_solve_nopivot)
+                      cholesky_solve, coarsest_cholesky, iterate, lu_nopivot,
+                      lu_solve_nopivot)
 from .toeplitz import SymToeplitz
 
 
 @dataclass
 class AmgHierarchy:
     matrices: List[SymToeplitz]  # every level, finest first
-    coarsest_inv: np.ndarray  # the inverse of matrices[-1]
+    coarsest_chol: np.ndarray  # the Cholesky factor of matrices[-1]
 
     @property
     def n_levels(self):
@@ -69,9 +80,9 @@ def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
     """Prolongation: inject C-values, F-values are half-weight averages.
 
     Boundary F-points with a single C-neighbour get one-sided weight 1/2,
-    which keeps the Galerkin coarse matrix exactly Toeplitz.
+    which keeps the Galerkin coarse matrix exactly Toeplitz.  coarse is
+    a float64 vector of length m_fine // 2.
     """
-    coarse = np.asarray(coarse, dtype=np.float64)
     mc = m_fine // 2
     if coarse.shape != (mc,):
         raise ValueError(f"expected coarse vector of length {mc}, got {coarse.shape}")
@@ -85,8 +96,8 @@ def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
 
 
 def restrict_apply(fine: np.ndarray, m_fine: int) -> np.ndarray:
-    """Restriction: the transpose of interp_apply."""
-    fine = np.asarray(fine, dtype=np.float64)
+    """Restriction: the transpose of interp_apply, of a float64 vector
+    of length m_fine."""
     if fine.shape != (m_fine,):
         raise ValueError(f"expected fine vector of length {m_fine}, got {fine.shape}")
     mc = m_fine // 2
@@ -123,20 +134,21 @@ def galerkin_symbol(fine_symbol: np.ndarray) -> np.ndarray:
 
 
 def setup(a0: SymToeplitz) -> AmgHierarchy:
-    """Coarsen until at most COARSEST_MAX unknowns remain, then invert the
-    coarsest level (solvers.coarsest_inverse, which raises LinAlgError
-    when it is singular).  A hierarchy of one level is a direct solve."""
+    """Coarsen until at most COARSEST_MAX unknowns remain, then factor the
+    coarsest level (solvers.coarsest_cholesky, which raises LinAlgError
+    when it is not positive definite).  A hierarchy of one level is a
+    direct solve."""
     if a0.symbol[0] <= 0:
         raise ValueError("matrix diagonal must be positive")
     matrices = [a0]
     while matrices[-1].m > COARSEST_MAX:
         matrices.append(SymToeplitz(galerkin_symbol(matrices[-1].symbol)))
-    return AmgHierarchy(matrices, coarsest_inverse(matrices[-1].to_dense()))
+    return AmgHierarchy(matrices, coarsest_cholesky(matrices[-1].to_dense()))
 
 
 def coarse_solve(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
-    """The direct solve on the coarsest level: one dense product."""
-    return h.coarsest_inv @ b
+    """The direct solve on the coarsest level, from its Cholesky factor."""
+    return cholesky_solve(h.coarsest_chol, b)
 
 
 def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: np.ndarray,
@@ -149,8 +161,8 @@ def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: np.ndarray,
     x, residual = cf_jacobi_sweep(A, x, b, r)
     coarse = restrict_apply(residual(), A.m)
     # a zero guess, whose residual is its right-hand side
-    x += interp_apply(_cycle(h, j + 1, coarse, np.zeros_like(coarse),
-                             coarse), A.m)
+    x += interp_apply(_cycle(h, j + 1, coarse, np.zeros(A.m // 2), coarse),
+                      A.m)
     return cf_jacobi_sweep(A, x, b)[0]
 
 
@@ -158,8 +170,9 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
            r: Optional[np.ndarray] = None) -> np.ndarray:
     """One V(1,1)-cycle: CF-Jacobi pre-smooth, coarse correction, post-smooth.
 
-    The levels matrices[:-1] are smoothed; the coarsest is solved by its
-    inverse from set-up, so a hierarchy of one level is a direct solve.
+    The levels matrices[:-1] are smoothed; the coarsest is solved from
+    its Cholesky factor from set-up, so a hierarchy of one level is a
+    direct solve.
     r, when given, is the finest-level residual b - A x the caller has
     already computed; the first smoothing pass uses it instead of a
     product.  Coarse levels start from a zero guess, whose

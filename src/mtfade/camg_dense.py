@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .solvers import (COARSEST_MAX, cf_jacobi_sweep, coarsest_inverse,
-                      iterate)
+from .solvers import (COARSEST_MAX, cf_jacobi_sweep, cholesky_solve,
+                      coarsest_cholesky, iterate)
 
 # The most unknowns the oracle takes: its matrices are dense.
 DENSE_ORACLE_CAP = 4096
@@ -49,25 +49,25 @@ def direct_interp(A: np.ndarray) -> sp.csr_matrix:
 class DenseAmg:
     """Classical AMG hierarchy on dense matrices (stride-2 splitting),
     coarsened like the Toeplitz one until at most COARSEST_MAX unknowns
-    remain, whose matrix it inverts the same way."""
+    remain, whose matrix it factors the same way."""
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=np.float64)
         if A.shape[0] > DENSE_ORACLE_CAP:
             raise ValueError(
                 f"dense oracle capped at {DENSE_ORACLE_CAP} unknowns")
-        self.matrices = [A]  # finest first; the last one is inverted
+        self.matrices = [A]  # finest first; the last one is factored
         self.prolongs = []  # one per smoothed level
         while self.matrices[-1].shape[0] > COARSEST_MAX:
             mat = self.matrices[-1]
             P = direct_interp(mat)
             self.prolongs.append(P)
             self.matrices.append(P.T @ (P.T @ mat.T).T)  # P^T A P, O(M^2)
-        self._coarsest_inv = coarsest_inverse(self.matrices[-1])
+        self._coarsest_chol = coarsest_cholesky(self.matrices[-1])
 
     def _vcycle(self, level: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         if level == len(self.prolongs):
-            return self._coarsest_inv @ b
+            return cholesky_solve(self._coarsest_chol, b)
         A, P = self.matrices[level], self.prolongs[level]
         x, residual = cf_jacobi_sweep(A, x, b)
         xc = self._vcycle(level + 1, P.T @ residual(), np.zeros(P.shape[1]))

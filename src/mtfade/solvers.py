@@ -1,5 +1,12 @@
 """The iteration driver, the CF-Jacobi smoother, conjugate gradients, the
-multigrid's coarsest-level inverse, and the pivot-free dense solve."""
+multigrid's coarsest-level Cholesky solve, and the pivot-free dense
+solve.
+
+The smoother and the check run on every multigrid cycle, and on the
+small levels their cost per call rivals their products, so on a level
+with a dense copy a sweep reads its rows from views cached on the
+matrix (SymToeplitz.dense_rows), and iterate() binds its check's
+product once per solve."""
 
 from __future__ import annotations
 
@@ -9,18 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import ddot, idamax
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
 
 # The paper's multigrid, which has no settings: both hierarchies coarsen
-# until at most COARSEST_MAX unknowns remain, invert that level once from
-# its LAPACK LU factors (coarsest_inverse), and smooth with one CF-Jacobi
-# sweep (F, C, F passes) before and after each coarse correction.
-# Measured at M = 256 with one BLAS thread on a shared 2-core x86-64
-# host, set-up takes a median 50 us with a coarsest size of 15 and 59 us
-# with 31, whose cycle is about 16% cheaper (one level fewer to smooth);
-# 31 has not been measured across whole marches, so the size stays 15.
+# until at most COARSEST_MAX unknowns remain, factor that level once by
+# Cholesky (coarsest_cholesky), and smooth with one CF-Jacobi sweep (F,
+# C, F passes) before and after each coarse correction.  A coarsest size
+# of 31 is faster: in three alternating 30 s perfbench pairs (one BLAS
+# thread, shared 2-core x86-64 host) it took march-tau-h's solution_s
+# from 0.0805 to 0.0715 s and march-graded's from 0.0703 to 0.0662 s.
+# But it moves the iteration counts, and the projected start's
+# test_projection_saves_iterations[decay] (tests/test_timestepper.py)
+# then reads 136 iterations against 193 replayed from the previous
+# state, a ratio of 0.705 above its 0.7 bound; so the size stays 15.
 COARSEST_MAX = 15
 _FCF = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
 _EPS2 = float(np.finfo(np.float64).eps) ** 2
@@ -98,9 +108,12 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
     bnorm = norm2(b)
     x = np.zeros_like(b) if x0 is None else np.ldexp(
         np.asarray(x0, dtype=np.float64), -e)
+    # bound once per call, as cg_solve binds T.matvec; a dense array
+    # has no matvec
+    product = A.matvec if isinstance(A, SymToeplitz) else A.__matmul__
     it = 0
     while True:
-        r = b - A @ x
+        r = b - product(x)
         relres = norm2(r) / bnorm
         if relres <= tol:
             reason = "converged"
@@ -127,12 +140,12 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     """One CF-Jacobi sweep: Jacobi relaxation (weight 1) of the F-points,
     then the C-points, then the F-points again.
 
-    A is any operator with `@` and a positive diagonal() (a SymToeplitz,
-    whose diagonal is the scalar t0, or a dense array).  F-points are the
-    0-based even positions, C-points the odd ones; each pass uses the
-    freshly updated residual.  This ordering damps the oscillatory error
-    components far better than a simultaneous sweep on these matrices,
-    whose scaled spectral radius can approach 2.
+    A is a SymToeplitz, whose diagonal is the constant t0 > 0, or a dense
+    array with a positive diagonal.  F-points are the 0-based even
+    positions, C-points the odd ones; each pass uses the freshly updated
+    residual.  This ordering damps the oscillatory error components far
+    better than a simultaneous sweep on these matrices, whose scaled
+    spectral radius can approach 2.
 
     Returns (x, residual): the relaxed copy of x, and a function of no
     arguments that returns b - A x for that x, to be called (if at all)
@@ -140,39 +153,45 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     residual and drops the post-sweep's, which then costs nothing.
 
     The first pass takes one residual, or none when the caller passes
-    r = b - A x (for a zero x, r = b).  On an operator with a dense copy
-    D (a dense array, or a SymToeplitz up to DENSE_MATVEC_CUTOFF) the
-    other two passes compute only the residual rows they relax,
-    D[s] @ x, half a product each, and residual() is one product A @ x.
-    Above the cutoff the sweep works on the stride-2 blocks of A
-    (SymToeplitz.half_spectra): it keeps the length-P spectra of x's even
-    and odd halves, each pass makes one inverse transform for the rows it
-    relaxes and re-transforms only the half it changed, and residual()
-    takes one forward and two inverse transforms.  An all-zero half
-    (a zero guess) is not transformed.  So a sweep from a given r takes
-    5 transforms of length P, or 4 from a zero guess, and one without r
-    takes 7; a full product takes two transforms of length 2P.
+    r = b - A x (for a zero x, r = b).  On a SymToeplitz up to
+    DENSE_MATVEC_CUTOFF the other two passes compute only the residual
+    rows they relax from the cached views of its dense copy D
+    (SymToeplitz.dense_rows), half a product each, and residual() is one
+    product b - D @ x; nothing else is looked up or converted per call.
+    A dense array D gets the same passes, each row weighted by its own
+    diagonal entry.  Above the cutoff the
+    sweep works on the stride-2 blocks of A (SymToeplitz.half_spectra):
+    it keeps the length-P spectra of x's even and odd halves, each pass
+    makes one inverse transform for the rows it relaxes and
+    re-transforms only the half it changed, and residual() takes one
+    forward and two inverse transforms.  An all-zero half (a zero guess)
+    is not transformed.  So a sweep from a given r takes 5 transforms of
+    length P, or 4 from a zero guess, and one without r takes 7; a full
+    product takes two transforms of length 2P.
     """
-    d = A.diagonal()
-    per_row = isinstance(d, np.ndarray)  # a dense array's own diagonal
-    if (d <= 0).any() if per_row else d <= 0:
-        raise ValueError("Jacobi needs a positive diagonal")
     x = np.array(x, dtype=np.float64)
-    w = 1.0 / d
-    if not per_row and A.m > DENSE_MATVEC_CUTOFF:
-        return _stride2_sweep(A, x, b, r, w)
-    dense = A if per_row else A.to_dense()
+    if type(A) is SymToeplitz:
+        t0 = A.symbol.item(0)
+        if t0 <= 0:
+            raise ValueError("Jacobi needs a positive diagonal")
+        if A.m > DENSE_MATVEC_CUTOFF:
+            return _stride2_sweep(A, x, b, r, 1.0 / t0)
+        dense, even, odd = A.dense_rows()
+        wf = wc = 1.0 / t0
+    else:  # a dense array: each row relaxed by its own diagonal entry
+        d = A.diagonal()
+        if (d <= 0).any():
+            raise ValueError("Jacobi needs a positive diagonal")
+        w = 1.0 / d
+        dense, even, odd = A, A[0::2], A[1::2]
+        wf, wc = w[0::2], w[1::2]
     if r is None:
         r = b - dense @ x
-    rs = r[_FCF[0]]
-    for k, s in enumerate(_FCF):
-        if k:
-            rs = b[s] - dense[s] @ x
-        x[s] += rs * (w[s] if per_row else w)
-    # A.matvec, not A @ x: the `@` dispatch to a SymToeplitz costs about a
-    # microsecond, some 2% of a V-cycle at M = 256.
-    product = A.__matmul__ if per_row else A.matvec
-    return x, lambda: b - product(x)
+    xf, xc = x[0::2], x[1::2]
+    xf += r[0::2] * wf
+    xc += (b[1::2] - odd @ x) * wc
+    xf += (b[0::2] - even @ x) * wf
+    return x, lambda: b - dense @ x
 
 
 def _stride2_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
@@ -262,16 +281,23 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
     return iterate(T, b, step, tol, maxit, x0, "cg")
 
 
-def coarsest_inverse(A: np.ndarray) -> np.ndarray:
-    """The inverse of a multigrid's coarsest matrix A (dense), from its
-    LAPACK LU factors with partial pivoting, so that the direct solve of
-    every cycle is one dense product.  Raises LinAlgError when A is
-    singular."""
-    lu, piv, info = dgetrf(A)
-    if info > 0:
+def coarsest_cholesky(A: np.ndarray) -> np.ndarray:
+    """The upper Cholesky factor U (A = U^T U, LAPACK dpotrf) of a
+    multigrid's coarsest matrix A (dense), which is SPD as a Galerkin
+    product of an SPD matrix; each cycle's direct solve there is then
+    one dpotrs call (cholesky_solve).  Raises LinAlgError when A is not
+    positive definite, singular matrices included."""
+    factor, info = dpotrf(A)
+    if info != 0:
         raise np.linalg.LinAlgError(
-            f"coarsest matrix is singular (m={len(A)})")
-    return dgetrs(lu, piv, np.eye(len(A)))[0]
+            f"coarsest matrix is not positive definite (m={len(A)}, "
+            f"info={info})")
+    return factor
+
+
+def cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b from the factor of coarsest_cholesky(A)."""
+    return dpotrs(factor, b)[0]
 
 
 def lu_nopivot(A: np.ndarray) -> np.ndarray:

@@ -11,21 +11,23 @@ step matrices share their mass matrix per mesh), so no caller may write
 into it.
 
 The multigrid smoother relaxes the even positions E and the odd ones O
-in turn, so above the cutoff it works on the stride-2 blocks of T
-instead of full products (solvers.cf_jacobi_sweep).  T_EE and T_OO are
-symmetric Toeplitz with symbol t[0::2], T_EO has the entry t_|2k-1| at
-lag k = a - b, and T_OE = T_EO^T.  All four embed in one circulant of
-size P >= m, half the pad of a full product, so half_spectra() keeps
-two spectra: S_EE, which is real and is also S_OO, and S_EO, whose
-conjugate is S_OE (Chan & Ng, "Conjugate gradient methods for Toeplitz
-systems", SIAM Rev. 38, 1996).  Like the full spectrum, they are built
-on first use and held by the instance alone.
+in turn, so it works on the rows of T at E or at O instead of full
+products (solvers.cf_jacobi_sweep).  Up to the cutoff those are the
+views D[0::2] and D[1::2] of the dense copy D, which dense_rows() keeps
+beside it.  Above the cutoff they are the stride-2 blocks of T: T_EE
+and T_OO are symmetric Toeplitz with symbol t[0::2], T_EO has the entry
+t_|2k-1| at lag k = a - b, and T_OE = T_EO^T.  All four embed in one
+circulant of size P >= m, half the pad of a full product, so
+half_spectra() keeps two spectra: S_EE, which is real and is also S_OO,
+and S_EO, whose conjugate is S_OE (Chan & Ng, "Conjugate gradient
+methods for Toeplitz systems", SIAM Rev. 38, 1996).  Like the full
+spectrum and the row views, they are built on first use and held by the
+instance alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # Up to this dimension the cached dense product beats the FFT round trip.
 # Measured with one BLAS thread (numpy 2.4, 2-core x86-64 host): dense
@@ -36,6 +38,8 @@ DENSE_MATVEC_CUTOFF = 384
 
 # Safety cap for dense materialization.
 DENSE_CAP = 8192
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class SymToeplitz:
@@ -49,14 +53,15 @@ class SymToeplitz:
         self.m = symbol.size
         self.shape = (self.m, self.m)
         # Lazy state: spectrum of the circulant embedding, the stride-2
-        # blocks' spectra, dense copy for small m.  All write-once, so
-        # concurrent readers at worst duplicate work.  None of them refers
-        # back to the instance, so a dropped matrix dies by reference
-        # counting alone.
+        # blocks' spectra, dense copy and its row views for small m.  All
+        # write-once, so concurrent readers at worst duplicate work.  None
+        # of them refers back to the instance, so a dropped matrix dies by
+        # reference counting alone.
         self._spectrum = None
         self._pad = 0
         self._half = None
         self._dense = None
+        self._rows = None
 
     def _embed_spectrum(self):
         # smallest power of two >= 2m
@@ -92,11 +97,16 @@ class SymToeplitz:
     def matvec(self, x):
         """Return T @ x for a vector x: a cached dense product up to
         DENSE_MATVEC_CUTOFF, the cached circulant spectrum above it."""
-        x = np.asarray(x, dtype=np.float64)
+        # A float64 ndarray, the one type the solvers pass, is taken as
+        # it is, and the dense copy is read directly: at m = 31 a re-wrap
+        # and a to_dense() call cost about a sixth of the product.
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.m,):
             raise ValueError(f"expected vector of length {self.m}, got {x.shape}")
         if self.m <= DENSE_MATVEC_CUTOFF:
-            return self.to_dense() @ x
+            dense = self._dense
+            return (self.to_dense() if dense is None else dense) @ x
         return self._circulant_product(x)
 
     def row_products(self, rows):
@@ -128,18 +138,28 @@ class SymToeplitz:
 
         With v = (t_{m-1}, ..., t_1, t_0, t_1, ..., t_{m-1}), row i is
         v[m-1-i : 2m-1-i]: one view of v, rows stepping back one entry,
-        then one copy."""
+        then one copy.  The view is a plain ndarray on v's buffer, which
+        costs a few microseconds less than numpy's as_strided."""
         if self.m > DENSE_CAP:
             raise ValueError(f"dense cap exceeded: m={self.m} > {DENSE_CAP}")
         if self._dense is None:
             t = self.symbol
             v = np.concatenate((t[:0:-1], t))
-            step = v.strides[0]
-            dense = as_strided(v[self.m - 1:], shape=self.shape,
+            step = v.itemsize
+            dense = np.ndarray(self.shape, np.float64, buffer=v,
+                               offset=(self.m - 1) * step,
                                strides=(-step, step)).copy()
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
+
+    def dense_rows(self):
+        """(D, D[0::2], D[1::2]): the read-only dense copy and the views
+        of its even and odd rows, for the smoother's passes.  Cached."""
+        if self._rows is None:
+            dense = self.to_dense()
+            self._rows = (dense, dense[0::2], dense[1::2])
+        return self._rows
 
     def row_sums(self):
         """All row sums as a vector, from one prefix-sum pass."""

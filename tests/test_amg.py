@@ -16,7 +16,8 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
 from mtfade.amg import AdaptiveSolver, coarse_solve
 from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
-from mtfade.solvers import COARSEST_MAX, lu_nopivot, lu_solve_nopivot
+from mtfade.solvers import (COARSEST_MAX, _stride2_sweep, lu_nopivot,
+                            lu_solve_nopivot)
 from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
 
@@ -85,6 +86,43 @@ def reference_cycle(matrices, b, x):
         xk = xf + reference_interp(xk, A.m)
         xk = reference_sweep(A, xk, bf)
     return xk
+
+
+# The V-cycle as it was before its fixed cost per call was cut: the
+# sweep looks up the diagonal, the dense copy and its rows on every call
+# and takes its residual through SymToeplitz.matvec, and a coarse level's
+# zero guess is np.zeros_like.  The arithmetic is the same, so the fast
+# cycle must equal it bitwise.
+
+def per_call_sweep(A, x, b, r=None):
+    d = A.diagonal()
+    if d <= 0:
+        raise ValueError("Jacobi needs a positive diagonal")
+    x = np.array(x, dtype=np.float64)
+    w = 1.0 / d
+    if A.m > DENSE_MATVEC_CUTOFF:
+        return _stride2_sweep(A, x, b, r, w)
+    dense = A.to_dense()
+    if r is None:
+        r = b - dense @ x
+    rs = r[0::2]
+    for k, s in enumerate((slice(0, None, 2), slice(1, None, 2),
+                           slice(0, None, 2))):
+        if k:
+            rs = b[s] - dense[s] @ x
+        x[s] += rs * w
+    return x, lambda: b - A.matvec(x)
+
+
+def per_call_cycle(h, b, x, r=None, j=0):
+    if j == len(h.matrices) - 1:
+        return coarse_solve(h, b)
+    A = h.matrices[j]
+    x, residual = per_call_sweep(A, x, b, r)
+    coarse = restrict_apply(residual(), A.m)
+    x += interp_apply(per_call_cycle(h, coarse, np.zeros_like(coarse),
+                                     coarse, j + 1), A.m)
+    return per_call_sweep(A, x, b)[0]
 
 
 def loop_galerkin_symbol(fine_symbol):
@@ -221,16 +259,36 @@ class TestSetup:
             if enabled:
                 gc.enable()
 
-    # 8 and 16: the finest level is the coarsest; from 32 on the coarsest
-    # has 15 unknowns.
+    # coarse_solve applies the coarsest matrix's inverse through its
+    # Cholesky factor.  8 and 16: the finest level is the coarsest; from
+    # 32 on the coarsest has 15 unknowns.
     @pytest.mark.parametrize("m", [8, 16, 32, 64, 256, 4096])
     def test_coarsest_inverse(self, m):
         A, _ = first_step_system(m)
         h = setup(A)
         C = h.matrices[-1]
         assert C.m == min(m - 1, COARSEST_MAX)
-        err = h.coarsest_inv @ C.to_dense() - np.eye(C.m)
-        assert np.abs(err).max() <= 1e-12
+        factor = h.coarsest_chol
+        assert np.array_equal(factor, np.triu(factor))
+        assert np.abs(factor.T @ factor - C.to_dense()).max() <= (
+            1e-14 * C.symbol[0])
+        rng = np.random.default_rng(m)
+        for b in (rng.standard_normal(C.m), np.ones(C.m)):
+            want = np.linalg.solve(C.to_dense(), b)
+            got = coarse_solve(h, b)
+            assert np.linalg.norm(got - want) <= (
+                1e-13 * np.linalg.norm(want))
+
+    def test_rejects_a_coarsest_matrix_that_is_not_positive_definite(self):
+        # Symmetric, nonsingular and with a positive diagonal, but with a
+        # negative eigenvalue: 1 - 2 * 0.9 < 0 for the vector (1, -1, 1).
+        T = SymToeplitz(np.array([1.0, 0.9, 0.0]))
+        assert np.linalg.det(T.to_dense()) != 0
+        assert np.linalg.eigvalsh(T.to_dense())[0] < 0
+        with pytest.raises(np.linalg.LinAlgError):
+            setup(T)
+        with pytest.raises(np.linalg.LinAlgError):
+            DenseAmg(T.to_dense())
 
     # The constant is shared, so the dense oracle stops on the same size.
     @pytest.mark.parametrize("m", [16, 64, 512])
@@ -306,20 +364,33 @@ class TestVcycleSolve:
         assert rep.converged and rep.iterations == it_ref
         assert np.linalg.norm(got - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
+    # 64 and 256: every level has a dense copy; at 1024 the finest level
+    # sweeps on the stride-2 spectra.
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    def test_equals_the_per_call_cycle_bitwise(self, m):
+        A, b = first_step_system(m)
+        h = setup(A)
+        x0 = np.random.default_rng(m).standard_normal(A.m)
+        for x, r in ((x0, b - A.matvec(x0)), (x0, None), (np.zeros(A.m), b),
+                     (np.zeros(A.m), None)):
+            assert np.array_equal(vcycle(h, b, x, r),
+                                  per_call_cycle(h, b, x, r))
+
     def test_product_count(self, monkeypatch):
-        # SymToeplitz.matvec calls in one iteration: the check, and the
-        # pre-sweep's residual on each smoothed level with a dense copy
-        # (m <= DENSE_MATVEC_CUTOFF), which the cycle restricts; the
-        # sweeps' own passes there compute rows of the dense copy, and the
-        # coarsest solve is one dense product, so neither calls matvec.
-        # An FFT level makes no matvec at all: its sweeps work on the
-        # stride-2 spectra, 15 transforms of the half pad P per cycle on
-        # the finest level (8 for the pre-sweep from the checked residual
-        # and its residual, 7 for the post-sweep) and 14 on a coarse level
-        # (the zero guess's odd half is not transformed).  The first cycle
-        # of a solve from zero has a zero guess on the finest level too.
-        # Each smoothed level is swept twice.  At M = 256 every level has
-        # a dense copy; at 1024 the two finest use the FFT.
+        # SymToeplitz.matvec calls in one iteration: the check alone.  On
+        # a smoothed level with a dense copy (m <= DENSE_MATVEC_CUTOFF)
+        # the sweeps' passes compute rows of the cached dense copy and the
+        # pre-sweep's residual, which the cycle restricts, is one product
+        # with that copy, and the coarsest solve is one dpotrs call, so
+        # none of them calls matvec.  An FFT level makes no matvec at all:
+        # its sweeps work on the stride-2 spectra, 15 transforms of the
+        # half pad P per cycle on the finest level (8 for the pre-sweep
+        # from the checked residual and its residual, 7 for the
+        # post-sweep) and 14 on a coarse level (the zero guess's odd half
+        # is not transformed).  The first cycle of a solve from zero has a
+        # zero guess on the finest level too.  Each smoothed level is
+        # swept twice.  At M = 256 every level has a dense copy; at 1024
+        # the two finest use the FFT.
         systems = [first_step_system(m) for m in (256, 1024)]
         hierarchies = [setup(A) for A, _ in systems]
         calls, swept, transforms = [], [], []
@@ -347,7 +418,6 @@ class TestVcycleSolve:
         monkeypatch.setattr(np.fft, "irfft", counted_fft(irfft))
         for (A, b), h in zip(systems, hierarchies):
             smoothed = [T.m for T in h.matrices[:-1]]
-            dense = [k for k in smoothed if k <= DENSE_MATVEC_CUTOFF]
             pads = [T.half_spectra()[0] for T in h.matrices[:-1]
                     if T.m > DENSE_MATVEC_CUTOFF]
             calls.clear()
@@ -356,8 +426,8 @@ class TestVcycleSolve:
             _, rep = amg_solve(h, b, tol=1e-12)
             it = rep.iterations
             assert rep.converged and it > 0
-            assert len(calls) == it * (len(dense) + 1) + 1
-            assert set(calls) == ({A.m} | set(dense))
+            assert len(calls) == it + 1
+            assert set(calls) == {A.m}
             assert sorted(swept) == sorted(it * 2 * smoothed)
             want = {p: 14 * it for p in pads}
             if pads:
@@ -370,7 +440,7 @@ class TestVcycleSolve:
                 calls.clear()
                 transforms.clear()
                 vcycle(h, b, x)
-                assert len(calls) == len(dense)
+                assert not calls
                 if pads:
                     assert Counter(transforms)[pads[0]] == finest
 

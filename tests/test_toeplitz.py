@@ -123,6 +123,32 @@ def test_dense_copy_is_read_only():
     assert np.array_equal(T.matvec(x), before)
 
 
+@pytest.mark.parametrize("m", [1, 2, 15, 16, DENSE_MATVEC_CUTOFF])
+def test_dense_row_views_are_cached_and_read_only(m):
+    # the smoother's even and odd rows of the shared dense copy
+    T = SymToeplitz(random_symbol(m, seed=m + 200))
+    rows = T.dense_rows()
+    dense, even, odd = rows
+    assert dense is T.to_dense() and T.dense_rows() is rows
+    assert np.array_equal(even, dense[0::2])
+    assert np.array_equal(odd, dense[1::2])
+    for view in (even, odd):
+        assert view.base is dense and not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[...] = 0.0
+    assert np.array_equal(dense, scipy.linalg.toeplitz(T.symbol))
+
+
+def test_matvec_takes_any_real_vector_as_float64():
+    # a float64 ndarray is used as it is; anything else is converted
+    T = SymToeplitz(random_symbol(9, seed=9))
+    x = np.arange(9.0) - 4.0
+    want = T.matvec(x)
+    for v in (list(x), x.astype(np.int64), x.astype(np.float32),
+              x.astype(">f8"), np.repeat(x, 2)[::2]):
+        assert np.array_equal(T.matvec(v), want)
+
+
 @pytest.mark.parametrize("m", [385, 386, 1023, 1024])
 def test_stride2_blocks_match_the_full_product(m):
     # odd and even m: the four stride-2 blocks from the two half spectra,
