@@ -41,6 +41,8 @@ class FractionalOrders:
             raise ValueError("need at least one temporal order")
         if len(alphas) != len(a_coeffs):
             raise ValueError("alphas and a_coeffs must have equal length")
+        if not all(map(math.isfinite, a_coeffs)):
+            raise ValueError(f"a_coeffs must be finite, got {a_coeffs}")
         if any(not 0.0 < a < 1.0 for a in alphas):
             raise ValueError("temporal orders must lie in (0, 1)")
         if any(alphas[i] <= alphas[i + 1] for i in range(len(alphas) - 1)):
@@ -103,11 +105,17 @@ class ProblemSpec:
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
+        for name in ("k1", "k2", "horizon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k1 <= 0 or self.k2 <= 0:
             raise ValueError("advection/diffusion coefficients must be positive")
         if self.horizon <= 0:
             raise ValueError("final time must be positive")
         a, b = self.domain
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"domain ends must be finite, got {self.domain}")
         if not a < b:
             raise ValueError("domain must be a nonempty interval (a, b)")
 
@@ -132,16 +140,25 @@ class Mesh:
     def __post_init__(self):
         if self.m < 4:
             raise ValueError("need at least 4 spatial cells")
+        if not math.isfinite(self.h):
+            raise ValueError(f"h must be finite, got {self.h}")
         if self.h <= 0:
             raise ValueError("spatial step must be positive")
         taus = np.asarray(self.taus, dtype=np.float64)
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("taus must be finite")
         if np.any(taus <= 0):
             raise ValueError("time steps must be positive")
         times = np.asarray(self.times, dtype=np.float64)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         # times[-1] scales the rounding that make_mesh's linspace leaves
         if len(times) != len(taus) + 1 or np.any(
                 np.abs(np.diff(times) - taus) > 1e-12 * abs(times[-1])):
             raise ValueError("times must step by taus, with one more entry")
+        if times[0] != 0.0:
+            raise ValueError(f"times must start at 0, got times[0] = "
+                             f"{times[0]}")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "times", times)
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dasum, ddot, dgemm, dgemv
 from scipy.linalg.lapack import dgesv
 from scipy.special import roots_legendre
 
@@ -37,7 +38,8 @@ class RunResult:
     step on a graded one), rhs the right-hand sides and the products
     A x_j of the projected start, which share A U^{n-1} with them
     (ProjectedStart.advance), solve the linear solves and the rest of
-    the projected start."""
+    the projected start (its Gram matrix, 6 x 6 solve and residual
+    test)."""
 
     states: np.ndarray
     l2_error: Optional[float]
@@ -72,10 +74,14 @@ class ProjectedStart:
     they were taken with (advance): a uniform mesh adds one product per
     step, A U^{n-1}, which the step's right-hand side shares; a new
     matrix (every step of a graded mesh) retakes all of them as one
-    block product.  When the Gram matrix is singular, or the
+    block product.  A start is a fixed sequence of calls: the Gram
+    matrix and the products with D and AD by BLAS dgemm and dgemv, the
+    solve by LAPACK dgesv, the norms by ddot and |c|_1 by dasum, under
+    no error-state switch.  When the Gram matrix is singular, or the
     projection's residual does not beat U^{n-1}'s by more than its own
     rounding (a numerically singular Gram matrix, states that differ by
-    rounding, a non-finite value), the start is U^{n-1}.
+    rounding, a non-finite value, an overflowing Gram matrix or
+    residual norm), the start is U^{n-1}.
     """
 
     def __init__(self, m: int):
@@ -116,18 +122,23 @@ class ProjectedStart:
         d[-1] = u
         ad = ax - au
         ad[-1] = au
-        # a failed projection shows as info > 0 or as a residual that
-        # does not beat U^{n-1}'s (nan compares false): the start is U^{n-1}
-        with np.errstate(all="ignore"):
-            r = b - au
-            _, _, c, info = dgesv(d @ ad.T, d @ r)
-            if info == 0:
-                # r0 is only as exact as the products, to about
-                # m eps |c|_1 |A U^{n-1}|; it must be smaller by more
-                r0 = r - c @ ad
-                slack = len(u) * _EPS * np.abs(c).sum() * math.sqrt(au @ au)
-                if math.sqrt(r0 @ r0) + slack < math.sqrt(r @ r):
-                    return u + c @ d
+        r = b - au
+        # The products are the BLAS calls that numpy's d @ ad.T, d @ r,
+        # c @ ad and c @ d make, so they agree bitwise; BLAS raises no
+        # floating-point warning, so an overflowing Gram matrix or a
+        # non-finite value needs no error-state switch.  A failed
+        # projection shows as info > 0 or as a residual that does not
+        # beat U^{n-1}'s (nan compares false): the start is U^{n-1}.
+        _, _, c, info = dgesv(dgemm(1.0, ad.T, d.T, trans_a=1).T,
+                              dgemv(1.0, d.T, r, trans=1))
+        if info:
+            return u
+        # r0 is only as exact as the products, to about
+        # m eps |c|_1 |A U^{n-1}|; it must be smaller by more
+        r0 = r - dgemv(1.0, ad.T, c)
+        slack = len(u) * _EPS * dasum(c) * math.sqrt(ddot(au, au))
+        if math.sqrt(ddot(r0, r0)) + slack < math.sqrt(ddot(r, r)):
+            return u + dgemv(1.0, d.T, c)
         return u
 
 
@@ -160,7 +171,13 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
     graded one builds each step's matrix from the mesh's cached mass and
     stiffness symbols (only the three coefficients depend on the step)
     and a hierarchy for it; every step shares the one mass matrix.
+    A mesh whose m cells of width h do not span spec.domain is rejected
+    (ValueError) before the first step.
     """
+    a, b = spec.domain
+    if abs(mesh.h * mesh.m - (b - a)) > 1e-12 * (b - a):
+        raise ValueError(f"mesh h * m = {mesh.h * mesh.m} does not span the "
+                         f"domain {spec.domain}")
     clock = time.perf_counter
     t0 = clock()
     solver = _step_solver(spec, mesh, 1, force)

@@ -584,11 +584,13 @@ class TestHistoryWeights:
 
     @pytest.mark.parametrize("alphas", [SET1[0], (0.9, 0.6, 0.2)])
     def test_graded_memory_row_is_the_sum_over_orders(self, alphas):
+        # The benchmark's graded mesh (t_n = T (n/N)^2, M = 64, N = 256)
+        # at every level: the row rhs_vector takes is history_weight's
+        # rows on k = 1 .. n-1 summed over the orders in order, bitwise.
         orders = FractionalOrders(alphas, (1.0, 0.5, 2.0)[:len(alphas)],
                                   *SET1[1:])
-        mesh = graded_mesh(default_spec(), 32, 64)
-        last = mesh.n_steps
-        for n in (2, 3, last // 2, last):
+        mesh = graded_mesh(default_spec(), 64, 256)
+        for n in range(2, mesh.n_steps + 1):
             k = np.arange(1, n)
             w = sum(c * history_weight(a, n, k, mesh)
                     for a, c in zip(orders.alphas, orders.a_coeffs))

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from mtfade import (FractionalOrders, Mesh, ProblemSpec, TimePolicy,
@@ -150,6 +152,97 @@ class TestMesh:
         mesh = make_mesh(spec, 8, TimePolicy.TAU_EQ_H)
         assert np.allclose(mesh.interior_nodes(0.0),
                            np.arange(1, 8) / 8.0)
+
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _valid_fields():
+    spec = make_example_1(orders_default())
+    orders = dict(alphas=(0.9, 0.4), a_coeffs=(1.0, 1.0), beta=0.3,
+                  gamma=0.8)
+    problem = dict(orders=spec.orders, k1=1.0, k2=2.0, domain=(0.0, 1.0),
+                   horizon=0.5, source=spec.source, initial=spec.initial)
+    times = 0.5 * (np.arange(9) / 8) ** 2
+    mesh = dict(m=16, h=1 / 16, taus=np.diff(times), times=times)
+    return orders, problem, mesh
+
+
+@st.composite
+def _one_entry(draw, values, bad):
+    """values (a tuple or array) with one entry replaced by bad."""
+    i = draw(st.integers(0, len(values) - 1))
+    out = np.array(values, dtype=np.float64)
+    out[i] = draw(bad)
+    return out if isinstance(values, np.ndarray) else tuple(out)
+
+
+@st.composite
+def invalid_input(draw):
+    """(constructor, kwargs) with one generated non-finite or
+    out-of-range field; every other field is valid."""
+    orders, problem, mesh = _valid_fields()
+    positive_bad = NONFINITE | st.floats(max_value=0.0)
+    cases = {
+        (FractionalOrders, "alphas"): _one_entry(
+            orders["alphas"], NONFINITE | FINITE.filter(
+                lambda a: not 0.0 < a < 1.0)),
+        (FractionalOrders, "a_coeffs"): _one_entry(
+            orders["a_coeffs"], NONFINITE | st.floats(max_value=-1e-300)),
+        (FractionalOrders, "beta"): NONFINITE | FINITE.filter(
+            lambda b: not 0.0 < b < 0.5),
+        (FractionalOrders, "gamma"): NONFINITE | FINITE.filter(
+            lambda g: not 0.5 < g < 1.0),
+        (ProblemSpec, "k1"): positive_bad,
+        (ProblemSpec, "k2"): positive_bad,
+        (ProblemSpec, "horizon"): positive_bad,
+        (ProblemSpec, "domain"): _one_entry(problem["domain"], NONFINITE),
+        (Mesh, "h"): positive_bad,
+        (Mesh, "taus"): _one_entry(mesh["taus"], positive_bad),
+        (Mesh, "times"): _one_entry(mesh["times"], NONFINITE),
+    }
+    (make, field) = draw(st.sampled_from(sorted(cases, key=str)))
+    kwargs = {FractionalOrders: orders, ProblemSpec: problem,
+              Mesh: mesh}[make]
+    kwargs[field] = draw(cases[make, field])
+    return make, kwargs
+
+
+class TestInvalidInput:
+    @settings(max_examples=200, deadline=None)
+    @given(case=invalid_input())
+    def test_construction_raises_value_error(self, case):
+        make, kwargs = case
+        with pytest.raises(ValueError):
+            make(**kwargs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shift=st.floats(-1e3, 1e3).filter(lambda s: s != 0.0))
+    def test_times_must_start_at_zero(self, shift):
+        # a mesh on [shift, shift + T] steps by its taus, but its memory
+        # would start at t = shift while U^0 is the data at t = 0 (shifts
+        # stay small enough that the steps keep their size)
+        _, _, mesh = _valid_fields()
+        mesh["times"] = mesh["times"] + shift
+        mesh["taus"] = np.diff(mesh["times"])
+        with pytest.raises(ValueError, match="times"):
+            Mesh(**mesh)
+
+    @pytest.mark.parametrize("field, value", [
+        ("a_coeffs", (1.0, math.nan)), ("a_coeffs", (math.inf, 1.0)),
+        ("k1", math.nan), ("k2", math.inf), ("horizon", math.nan),
+        ("domain", (0.0, math.inf)), ("h", math.nan),
+        ("taus", [math.nan] * 8), ("times", [math.nan] * 9)])
+    def test_message_names_the_field(self, field, value):
+        orders, problem, mesh = _valid_fields()
+        make, kwargs = next((make, kw) for make, kw in (
+            (FractionalOrders, orders), (ProblemSpec, problem),
+            (Mesh, mesh)) if field in kw)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field) as err:
+            make(**kwargs)
+        assert "\n" not in str(err.value)
 
 
 class TestManufacturedProblems:

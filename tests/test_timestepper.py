@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 
 from mtfade import (AdaptiveSolver, FractionalOrders, Mesh, ProblemSpec,
                     SeparableSource, TimePolicy, convergence_table,
@@ -19,6 +20,30 @@ from mtfade.timestepper import (PROJECTION_WINDOW, ProjectedStart,
 
 def orders(alphas=(0.9, 0.4), beta=0.3, gamma=0.8):
     return FractionalOrders(alphas, (1.0,) * len(alphas), beta, gamma)
+
+
+def oracle_start(proj, b, states):
+    """ProjectedStart.start as numpy products under an error-state
+    switch, on proj's products (already brought up to len(states)); the
+    oracle the BLAS form must match bitwise."""
+    n = len(states)
+    x = states[max(0, n - PROJECTION_WINDOW):]
+    ax = proj._products[PROJECTION_WINDOW - len(x):]
+    u, au = x[-1], ax[-1]
+    d = x - u
+    d[-1] = u
+    ad = ax - au
+    ad[-1] = au
+    with np.errstate(all="ignore"):
+        r = b - au
+        _, _, c, info = dgesv(d @ ad.T, d @ r)
+        if info == 0:
+            r0 = r - c @ ad
+            slack = (len(u) * np.finfo(np.float64).eps * np.abs(c).sum()
+                     * math.sqrt(au @ au))
+            if math.sqrt(r0 @ r0) + slack < math.sqrt(r @ r):
+                return u + c @ d
+    return u
 
 
 class TestMarch:
@@ -95,6 +120,14 @@ class TestMarch:
         res = march(spec, mesh, tol=1e-12)
         assert np.all(res.final_state == 0.0)
         assert res.l2_error == 0.0
+
+    @pytest.mark.parametrize("h, m", [(0.5, 8), (1 / 64, 32),
+                                      (1 / 32 * (1 + 1e-9), 32)])
+    def test_mesh_must_span_the_domain(self, h, m):
+        spec = make_example_1(orders())
+        mesh = Mesh(m=m, h=h, taus=[0.25, 0.25], times=[0.0, 0.25, 0.5])
+        with pytest.raises(ValueError, match="span the domain"):
+            march(spec, mesh)
 
     def test_solver_failure_raises(self):
         spec = make_example_1(orders())
@@ -259,6 +292,43 @@ class TestProjectedStart:
             assert r0 @ r0 <= r @ r
         if history in ("zero", "identical", "huge"):
             assert np.array_equal(x0, states[-1])
+
+    @pytest.mark.parametrize("case", ["tau-h", "tau-h2", "graded"])
+    def test_start_is_the_oracle_bitwise(self, case):
+        # the histories of the benchmark's three marches, step by step
+        spec = make_example_1(orders())
+        if case == "graded":
+            times = spec.horizon * (np.arange(257) / 256) ** 2
+            mesh = Mesh(m=64, h=1 / 64, taus=np.diff(times), times=times)
+        else:
+            mesh = make_mesh(spec, *{"tau-h": (256, TimePolicy.TAU_EQ_H),
+                                     "tau-h2": (32, TimePolicy.TAU_EQ_H2)
+                                     }[case])
+        states = march(spec, mesh, tol=1e-12).states
+        proj = ProjectedStart(mesh.m - 1)
+        projected = 0
+        for n in range(1, mesh.n_steps + 1):
+            mats = step_matrix(spec, mesh, n)
+            au = proj.advance(mats.a_full, states[:n])
+            b = rhs_vector(spec, mesh, states[:n], mats, au)
+            x0 = proj.start(mats.a_full, b, states[:n])
+            assert np.array_equal(x0, oracle_start(proj, b, states[:n]))
+            projected += not np.shares_memory(x0, states)
+        assert projected >= mesh.n_steps // 2  # the projection is taken
+
+    @pytest.mark.parametrize("scale", [1e200, math.inf, math.nan])
+    def test_nonfinite_residual_norm_gives_the_previous_state(self, scale):
+        # ||r||^2 overflows (or r is not finite): BLAS raises no
+        # warning, and the start is U^{n-1}, as the oracle's
+        A = self.A
+        states = smooth_history(self.x, 0.02 * np.arange(7))
+        b = scale * A.matvec(states[-1] + self.x)
+        proj = ProjectedStart(A.m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0 = proj.start(A, b, states)
+        assert np.array_equal(x0, states[-1])
+        assert np.array_equal(x0, oracle_start(proj, b, states))
 
     def test_differences_keep_the_gain_at_small_tau(self):
         # Example 1 at tau = h^2, M = 16: 288 CG iterations; the same
