@@ -279,23 +279,28 @@ def history_weight(alpha, n: int, k, mesh: Mesh):
     With e = 2 - alpha and g_j = (t_n - t_j)^e - (t_{n-1} - t_j)^e, the
     weight is (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)); g is taken once
     over j = min(k)-1 .. max(k), so the weights of every order cost one
-    pass of two arrays of powers.
-    It is the general form and the tests' oracle; rhs_vector does not
-    call it.  A graded step takes its contiguous row k = 1 .. n-1 with
-    the same expressions (_memory_row), a uniform one from one lag row
-    (_lag_row).
+    pass of two arrays of powers.  A range of step 1 (the contiguous
+    levels rhs_vector asks for, range(1, n)) reads its weights and
+    tau_k as slices, with no min, max or gather.
+    rhs_vector calls it on graded meshes only, once per step for all the
+    orders; a uniform mesh reads its weights from one lag row (_lag_row).
     """
-    k = np.asarray(k)
-    lo, hi = int(k.min()), int(k.max())
+    if isinstance(k, range) and k.step == 1:
+        lo, hi = k.start, k.stop - 1
+        pick, taus = ..., mesh.taus[lo - 1:hi]
+    else:
+        k = np.asarray(k)
+        lo, hi = int(k.min()), int(k.max())
+        pick, taus = (..., k - lo), mesh.taus[k - 1]
     if lo < 1 or hi > n - 1:
         raise ValueError(f"history index k={k} must satisfy 1 <= k <= n-1={n - 1}")
     alpha = np.asarray(alpha, dtype=np.float64)
     t = mesh.times[lo - 1:hi + 1]
     e = (2.0 - alpha)[..., None]  # one row of g per order
     g = (mesh.times[n] - t) ** e - (mesh.times[n - 1] - t) ** e
-    num = (g[..., :-1] - g[..., 1:])[..., k - lo]
-    scale = gamma_fn(3.0 - alpha).reshape(alpha.shape + (1,) * k.ndim)
-    return num / (mesh.taus[k - 1] * scale)
+    num = (g[..., :-1] - g[..., 1:])[pick]
+    scale = gamma_fn(3.0 - alpha).reshape(alpha.shape + (1,) * taus.ndim)
+    return num / (taus * scale)
 
 
 @functools.lru_cache(maxsize=8)
@@ -322,39 +327,19 @@ def _lag_row(orders, tau: float, n_steps: int):
     return w, back
 
 
-@functools.lru_cache(maxsize=8)
-def _order_constants(orders):
-    """The per-orders constants of a graded memory row, read-only: the
-    exponents e = 2 - alpha as a (p, 1, 1) column and Gamma(3 - alpha)
-    as a (p, 1) column, for the p temporal orders; taken once per
-    orders, as _lag_row is."""
-    alpha = np.array(orders.alphas)
-    e = (2.0 - alpha)[:, None, None]
-    scale = gamma_fn(3.0 - alpha)[:, None]
-    e.setflags(write=False)
-    scale.setflags(write=False)
-    return e, scale
-
-
 def _memory_row(orders, mesh: Mesh, n: int) -> np.ndarray:
     """dw with dw @ (U^0 .. U^{n-1}) = -mem at level n >= 2.
 
     mem = sum_k w_k (U^k - U^{k-1}) = sum_j (w_j - w_{j+1}) U^j with
     w_0 = w_n = 0, the w_k summed over the temporal orders in order.  A
-    uniform mesh slices its cached lag row.  A graded one takes
-    history_weight's expressions on its contiguous k = 1 .. n-1: g_j for
-    j = 0 .. n-1 straight from times[:n], both powers of every order in
-    one call, divided by taus[:n-1] Gamma(3-alpha).  history_weight is
-    its oracle; the two agree bitwise.
+    uniform mesh slices its cached lag row; a graded one takes the rows
+    of all the orders from one history_weight call on the contiguous
+    levels range(1, n).
     """
     if mesh.uniform:
         w, back = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)
         return np.concatenate((w[n - 1:n], back[mesh.n_steps - n:]))
-    e, scale = _order_constants(orders)
-    t = mesh.times
-    g = (t[n - 1:n + 1, None] - t[:n]) ** e  # (orders, 2, n)
-    g = g[:, 1] - g[:, 0]
-    rows = (g[:, :-1] - g[:, 1:]) / (mesh.taus[:n - 1] * scale)
+    rows = history_weight(np.array(orders.alphas), n, range(1, n), mesh)
     coeffs = orders.a_coeffs
     w = coeffs[0] * rows[0]
     for c, row in zip(coeffs[1:], rows[1:]):
@@ -383,8 +368,8 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
     since s (c' M - k1 tau/2 S_beta - k2 tau/2 S_gamma) = 2 c_mass M - A
     (s c' is c_mass and s k tau/2 are the stiffness coefficients of A).
     The memory weights come from one cached lag row on a uniform mesh
-    and, on a graded one, from one call of two arrays of powers per
-    temporal order over the contiguous history (_memory_row).
+    and from one history_weight call, two arrays of powers per temporal
+    order, on a graded one.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != mesh.m - 1 \

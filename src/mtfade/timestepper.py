@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dasum, ddot, dgemm, dgemv
+from scipy.linalg.blas import dasum, daxpy, ddot, dgemm, dgemv
 from scipy.linalg.lapack import dgesv
 from scipy.special import roots_legendre
 
@@ -76,8 +76,8 @@ class ProjectedStart:
     matrix (every step of a graded mesh) retakes all of them as one
     block product.  A start is a fixed sequence of calls: the Gram
     matrix and the products with D and AD by BLAS dgemm and dgemv, the
-    solve by LAPACK dgesv, the norms by ddot and |c|_1 by dasum, under
-    no error-state switch.  When the Gram matrix is singular, or the
+    sums by daxpy, the solve by LAPACK dgesv, the norms by ddot and
+    |c|_1 by dasum.  When the Gram matrix is singular, or the
     projection's residual does not beat U^{n-1}'s by more than its own
     rounding (a numerically singular Gram matrix, states that differ by
     rounding, a non-finite value, an overflowing Gram matrix or
@@ -122,23 +122,24 @@ class ProjectedStart:
         d[-1] = u
         ad = ax - au
         ad[-1] = au
-        r = b - au
-        # The products are the BLAS calls that numpy's d @ ad.T, d @ r,
-        # c @ ad and c @ d make, so they agree bitwise; BLAS raises no
-        # floating-point warning, so an overflowing Gram matrix or a
-        # non-finite value needs no error-state switch.  A failed
-        # projection shows as info > 0 or as a residual that does not
-        # beat U^{n-1}'s (nan compares false): the start is U^{n-1}.
+        # The products are the BLAS calls numpy's d @ ad.T, d @ r, c @ ad
+        # and c @ d make, and daxpy with a = +-1 rounds as + and - do, so
+        # the start is numpy's bitwise; no BLAS call warns, whatever the
+        # values.  A failed projection shows as info > 0 or as a residual
+        # that does not beat U^{n-1}'s (nan compares false): the start
+        # is U^{n-1}.
+        r = daxpy(au, b.copy(), a=-1.0)  # b - A U^{n-1}
         _, _, c, info = dgesv(dgemm(1.0, ad.T, d.T, trans_a=1).T,
                               dgemv(1.0, d.T, r, trans=1))
         if info:
             return u
+        rr = ddot(r, r)
         # r0 is only as exact as the products, to about
         # m eps |c|_1 |A U^{n-1}|; it must be smaller by more
-        r0 = r - dgemv(1.0, ad.T, c)
+        r0 = daxpy(dgemv(1.0, ad.T, c), r, a=-1.0)  # r - c AD, over r
         slack = len(u) * _EPS * dasum(c) * math.sqrt(ddot(au, au))
-        if math.sqrt(ddot(r0, r0)) + slack < math.sqrt(ddot(r, r)):
-            return u + dgemv(1.0, d.T, c)
+        if math.sqrt(ddot(r0, r0)) + slack < math.sqrt(rr):
+            return daxpy(u, dgemv(1.0, d.T, c))  # U^{n-1} + c D
         return u
 
 

@@ -571,13 +571,18 @@ class TestHistoryWeights:
         mesh = graded_mesh(spec, 32, 64)
         alphas = np.array([0.9, 0.4, 0.15])
         for n in (2, 3, 32, 64):
-            for k in (np.arange(1, n), np.array([1, n - 1]), n - 1, 1):
+            for k in (np.arange(1, n), np.array([1, n - 1]), n - 1, 1,
+                      range(1, n), range(max(1, n - 3), n), range(1, n, 2)):
                 rows = history_weight(alphas, n, k, mesh)
                 assert rows.shape == alphas.shape + np.shape(k)
                 for alpha, row in zip(alphas, rows):
                     assert np.array_equal(
                         row, history_weight(float(alpha), n, k, mesh))
-            for k in (0, n, np.arange(0, n), np.arange(1, n + 1)):
+                if isinstance(k, range):  # slices against the gather
+                    assert np.array_equal(
+                        rows, history_weight(alphas, n, np.array(k), mesh))
+            for k in (0, n, np.arange(0, n), np.arange(1, n + 1),
+                      range(0, n), range(1, n + 1)):
                 for alpha in (alphas, alphas[0]):
                     with pytest.raises(ValueError, match="history index"):
                         history_weight(alpha, n, k, mesh)

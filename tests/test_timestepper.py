@@ -330,6 +330,26 @@ class TestProjectedStart:
         assert np.array_equal(x0, states[-1])
         assert np.array_equal(x0, oracle_start(proj, b, states))
 
+    @pytest.mark.parametrize("size, b_of", [
+        (1.0, lambda au: np.full_like(au, math.inf)),
+        (1.0, lambda au: np.full_like(au, -math.inf)),
+        (1e300, lambda au: -np.finfo(np.float64).max * np.sign(au))])
+    def test_one_row_window_with_nonfinite_sums_warns_nothing(self, size,
+                                                              b_of):
+        # One state, so D = (U^0), U^0 = size sin(pi x) > 0: b = +-inf
+        # makes c +-inf and r - c AD inf - inf; b the largest double
+        # against the sign of a huge A U^0 makes b - A U^0 overflow.
+        # No call may warn, and the start is U^{n-1}, as the oracle's.
+        A = self.A
+        states = size * np.sin(np.pi * self.x)[None, :]
+        b = b_of(A.matvec(states[-1]))
+        proj = ProjectedStart(A.m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0 = proj.start(A, b, states)
+        assert np.array_equal(x0, states[-1])
+        assert np.array_equal(x0, oracle_start(proj, b, states))
+
     def test_differences_keep_the_gain_at_small_tau(self):
         # Example 1 at tau = h^2, M = 16: 288 CG iterations; the same
         # projection from the Gram matrix of the raw states takes 689,

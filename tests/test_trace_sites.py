@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import mtfade.amg
-import mtfade.assembly
 from mtfade import (FractionalOrders, Mesh, TimePolicy, make_example_1,
                     make_mesh, march, step_matrix)
 from mtfade.amg import AdaptiveSolver
@@ -67,19 +66,14 @@ def test_adaptive_solver_calls_through_amg_globals(monkeypatch, branch,
 
 def test_graded_march_reaches_its_per_step_sites(monkeypatch):
     # A graded step has its own step matrix, memory weights and (on the
-    # AMG branch) hierarchy; the traced layers must still see the step
-    # matrix and the hierarchy once per step, from the sites the tracer
-    # patches.  The memory row is no longer taken through
-    # history_weight (the tests' oracle), so the tracer's
-    # assembly.history_weight site reads 0 calls on a march; rhs_vector
-    # looks the row up as mtfade.assembly._memory_row, where that site
-    # has to move.
+    # AMG branch) hierarchy; the traced layers must still see each of
+    # them once per step, from the sites the tracer patches.
     spec = make_example_1(FractionalOrders((0.9, 0.4), (1.0, 1.0), 0.3, 0.8))
     n_steps = 16
     times = spec.horizon * (np.arange(n_steps + 1) / n_steps) ** 2
     mesh = Mesh(m=64, h=1.0 / 64, taus=np.diff(times), times=times)
     wanted = ("assembly.step_matrix", "assembly.history_weight", "amg.setup")
-    calls = dict.fromkeys(wanted + ("memory_row",), 0)
+    calls = dict.fromkeys(wanted, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -92,11 +86,8 @@ def test_graded_march_reaches_its_per_step_sites(monkeypatch):
             owner = importlib.import_module(module)
             monkeypatch.setattr(owner, path,
                                 counting(name, getattr(owner, path)))
-    monkeypatch.setattr(mtfade.assembly, "_memory_row",
-                        counting("memory_row", mtfade.assembly._memory_row))
     res = march(spec, mesh)
     assert calls["assembly.step_matrix"] == n_steps
-    assert calls["memory_row"] == n_steps - 1
-    assert calls["assembly.history_weight"] == 0
+    assert calls["assembly.history_weight"] == n_steps - 1
     amg_steps = sum(r.branch == "amg" for r in res.per_step_reports)
     assert amg_steps and calls["amg.setup"] >= amg_steps
