@@ -13,31 +13,17 @@ cf_jacobi_sweep).  Set-up is therefore O(M) work and storage plus a
 factorization of fixed size; each V(1,1)-cycle costs O(M log M) through
 the FFT.
 
-A cycle makes only the products it needs: amg_solve's iteration loop
-(solvers.iterate) hands the true residual it has just checked to the
-cycle, whose first smoothing pass uses it, every coarse level starts
-from a zero guess whose residual is its right-hand side, and the
-pre-sweep hands back the residual after its last pass for restriction.
-On a level with a dense copy (m <= DENSE_MATVEC_CUTOFF) the second and
-third pass of a sweep compute only the rows they relax, half a product
-each, and that residual is one product: 4 products per cycle.  Above
-the cutoff the sweeps work on the stride-2 blocks of the level's matrix
-(SymToeplitz.half_spectra) with transforms of length P >= m, half the
-pad of a full product: each pass transforms only the rows it relaxes
-and the half it changed, 15 transforms per cycle on the finest level
-and 14 on a coarse one (its zero guess has no odd half to transform),
-where six full products would take 12 of length 2P.  One solver
-iteration is then the check, one product, plus that work per smoothed
-level: 4 L + 1 products when all L smoothed levels are dense.
-
-At the sizes of a dense level a cycle's fixed cost per call is what is
-left to cut, so nothing is re-derived per call: a sweep reads the rows
-it relaxes from views of the dense copy cached on the matrix
-(SymToeplitz.dense_rows) and takes its residual straight from that copy,
-a coarse level's zero guess is a fresh np.zeros, and the transfers take
-their float64 vectors as they are.  The cycle still calls the smoother,
-the transfers and the coarse solve through this module's globals, where
-a tracer can wrap them.
+A cycle makes only the products it needs (vcycle counts them): the
+iteration loop (solvers.iterate) hands the true residual it has just
+checked to the cycle, every coarse level starts from a zero guess whose
+residual is its right-hand side, and the pre-sweep hands back the
+residual after its last pass for restriction.  At the sizes of a dense
+level a cycle's fixed cost per call rivals its products, so nothing is
+re-derived per call either: the sweeps read their rows from the forms
+cached on the matrices, a coarse level's zero guess is a fresh np.zeros,
+and the transfers take their float64 vectors as they are.  The cycle
+still calls the smoother, the transfers and the coarse solve through
+this module's globals, where a tracer can wrap them.
 
 When tau^alpha0 h^(-2 gamma) <= 1 the condition number of the step
 matrix is O(1), plain CG is cheaper, and the adaptive driver switches
@@ -172,18 +158,19 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
 
     The levels matrices[:-1] are smoothed; the coarsest is solved from
     its Cholesky factor from set-up, so a hierarchy of one level is a
-    direct solve.
-    r, when given, is the finest-level residual b - A x the caller has
-    already computed; the first smoothing pass uses it instead of a
-    product.  Coarse levels start from a zero guess, whose
-    residual is the restricted right-hand side itself, so they make no
-    product with it either.  Each smoothed level makes two CF-Jacobi
-    sweeps and restricts the residual that the pre-sweep returns, so the
-    sweeps do all of a cycle's products: 4 on a level with a dense copy,
-    and 15 half-pad transforms on the finest level above
-    DENSE_MATVEC_CUTOFF, 14 on a coarse one.  Without r the finest level
-    takes one product more, or 17 transforms for a nonzero x; see
-    cf_jacobi_sweep.  b, x and r are not written.
+    direct solve.  r, when given, is the finest-level residual b - A x
+    the caller has already computed; the first smoothing pass uses it
+    instead of a product.  Coarse levels start from a zero guess, whose
+    residual is the restricted right-hand side itself.  Each smoothed
+    level makes two sweeps and restricts the residual that the pre-sweep
+    returns, so the sweeps make all of a cycle's products, as counted in
+    cf_jacobi_sweep: 4 on a level with a dense copy, and on a level
+    without one 15 half-pad transforms on the finest level and 14 on a
+    coarse one, whose zero guess has no odd half to transform (six full
+    products would take 12 of twice the length).  Without r the finest
+    level takes one product more, or 17 transforms for a nonzero x.  An
+    amg_solve iteration adds its check, one product: 4 L + 1 products on
+    L smoothed levels with a dense copy.  b, x and r are not written.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (h.matrices[0].m,):
@@ -196,10 +183,8 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
     """Iterate V(1,1)-cycles until the relative residual meets tol.
 
     Each step of iterate() is one cycle, handed the true residual
-    b - A x that iterate() has just checked, so one iteration makes
-    4 L + 1 products on L smoothed levels with a dense copy; a level
-    above DENSE_MATVEC_CUTOFF takes 14 half-pad transforms instead, 15
-    on the finest level (see the module docstring).
+    b - A x that iterate() has just checked; vcycle gives what an
+    iteration costs.
     """
     return iterate(h.matrices[0], b,
                    lambda b, x, r, budget: (vcycle(h, b, x, r), 1),

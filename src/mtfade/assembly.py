@@ -79,8 +79,7 @@ def stiffness_symbol(mu: float, m: int, h: float) -> SymToeplitz:
     t = np.empty(m - 1)
     t[0] = pre * (2.0 ** (4.0 - 2.0 * mu) - 8.0)
     t[1] = pre * (3.0 ** sigma - 2.0 ** (5.0 - 2.0 * mu) + 7.0)
-    if m > 3:
-        t[2:] = pre * _lag_difference(np.arange(2, m - 1), sigma)
+    t[2:] = pre * _lag_difference(np.arange(2, m - 1), sigma)
     return SymToeplitz(t)
 
 

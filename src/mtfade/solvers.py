@@ -3,10 +3,10 @@ multigrid's coarsest-level Cholesky solve, and the pivot-free dense
 solve.
 
 The smoother and the check run on every multigrid cycle, and on the
-small levels their cost per call rivals their products, so on a level
-with a dense copy a sweep reads its rows from views cached on the
-matrix (SymToeplitz.dense_rows), and iterate() binds its check's
-product once per solve."""
+small levels their cost per call rivals their products, so a sweep
+takes the rows it relaxes from the matrix in whichever form the matrix
+keeps (SymToeplitz.dense_rows, stride2_rows) and looks nothing else up,
+and iterate() binds its check's product once per solve."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.blas import ddot, idamax
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
+from .toeplitz import SymToeplitz
 
 # The paper's multigrid, which has no settings: both hierarchies coarsen
 # until at most COARSEST_MAX unknowns remain, factor that level once by
@@ -32,7 +32,6 @@ from .toeplitz import DENSE_MATVEC_CUTOFF, SymToeplitz
 # then reads 136 iterations against 193 replayed from the previous
 # state, a ratio of 0.705 above its 0.7 bound; so the size stays 15.
 COARSEST_MAX = 15
-_FCF = (slice(0, None, 2), slice(1, None, 2), slice(0, None, 2))
 _EPS2 = float(np.finfo(np.float64).eps) ** 2
 
 
@@ -153,30 +152,28 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     residual and drops the post-sweep's, which then costs nothing.
 
     The first pass takes one residual, or none when the caller passes
-    r = b - A x (for a zero x, r = b).  On a SymToeplitz up to
-    DENSE_MATVEC_CUTOFF the other two passes compute only the residual
-    rows they relax from the cached views of its dense copy D
-    (SymToeplitz.dense_rows), half a product each, and residual() is one
-    product b - D @ x; nothing else is looked up or converted per call.
-    A dense array D gets the same passes, each row weighted by its own
-    diagonal entry.  Above the cutoff the
-    sweep works on the stride-2 blocks of A (SymToeplitz.half_spectra):
-    it keeps the length-P spectra of x's even and odd halves, each pass
-    makes one inverse transform for the rows it relaxes and
-    re-transforms only the half it changed, and residual() takes one
+    r = b - A x (for a zero x, r = b).  The other two compute only the
+    residual rows they relax.  Where A has a dense copy D
+    (SymToeplitz.dense_rows, or A itself, each row then weighted by its
+    own diagonal entry) those are half a product each, and residual() is
+    one product b - D @ x.  Otherwise (SymToeplitz.stride2_rows) the
+    sweep keeps the spectra of x's even and odd halves, each pass makes
+    one inverse transform for the rows it relaxes and re-transforms only
+    the half it changed, and residual() takes one
     forward and two inverse transforms.  An all-zero half (a zero guess)
     is not transformed.  So a sweep from a given r takes 5 transforms of
-    length P, or 4 from a zero guess, and one without r takes 7; a full
-    product takes two transforms of length 2P.
+    length P >= m, or 4 from a zero guess, and one without r takes 7; a
+    full product takes two transforms of length 2P.
     """
     x = np.array(x, dtype=np.float64)
     if type(A) is SymToeplitz:
         t0 = A.symbol.item(0)
         if t0 <= 0:
             raise ValueError("Jacobi needs a positive diagonal")
-        if A.m > DENSE_MATVEC_CUTOFF:
+        rows = A.dense_rows()
+        if rows is None:
             return _stride2_sweep(A, x, b, r, 1.0 / t0)
-        dense, even, odd = A.dense_rows()
+        dense, even, odd = rows
         wf = wc = 1.0 / t0
     else:  # a dense array: each row relaxed by its own diagonal entry
         d = A.diagonal()
@@ -197,34 +194,30 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
 def _stride2_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
                    r: np.ndarray | None, w: float
                    ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """cf_jacobi_sweep above DENSE_MATVEC_CUTOFF, on the spectra of x's
-    F (even) and C (odd) halves; x is the sweep's own copy."""
-    pad, s_ee, s_eo = T.half_spectra()
-    F, C = _FCF[0], _FCF[1]
-    nf, nc = (T.m + 1) // 2, T.m // 2
+    """cf_jacobi_sweep on a SymToeplitz without a dense copy, on the
+    spectra of x's F (even) and C (odd) halves; x is the sweep's own
+    copy."""
+    # Asked for first, so that a fresh matrix builds its spectra before
+    # the passes allocate their temporaries; built after the first pass,
+    # they made perfbench's solve-large about 2% slower.
+    transform, rows = T.stride2_rows()
+    F, C = slice(0, None, 2), slice(1, None, 2)
 
     def spectrum(v):
-        return np.fft.rfft(v, n=pad) if v.any() else 0.0
-
-    def f_rows(xf, xc):  # (b - T x)[F]
-        return b[F] - np.fft.irfft(s_ee * xf + s_eo * xc, n=pad)[:nf]
-
-    def c_rows(xf, xc):  # (b - T x)[C]
-        return b[C] - np.fft.irfft(s_eo.conj() * xf + s_ee * xc,
-                                   n=pad)[:nc]
+        return transform(v) if v.any() else 0.0
 
     xc = spectrum(x[C])
-    x[F] += (f_rows(spectrum(x[F]), xc) if r is None else r[F]) * w
-    xf = np.fft.rfft(x[F], n=pad)
-    x[C] += c_rows(xf, xc) * w
-    xc = np.fft.rfft(x[C], n=pad)
-    x[F] += f_rows(xf, xc) * w
+    x[F] += (b[F] - rows(0, spectrum(x[F]), xc) if r is None else r[F]) * w
+    xf = transform(x[F])
+    x[C] += (b[C] - rows(1, xf, xc)) * w
+    xc = transform(x[C])
+    x[F] += (b[F] - rows(0, xf, xc)) * w
 
     def residual():
-        xf = np.fft.rfft(x[F], n=pad)
+        xf = transform(x[F])
         out = np.empty_like(x)
-        out[F] = f_rows(xf, xc)
-        out[C] = c_rows(xf, xc)
+        out[F] = b[F] - rows(0, xf, xc)
+        out[C] = b[C] - rows(1, xf, xc)
         return out
     return x, residual
 

@@ -55,6 +55,56 @@ def scale_free_relres(T, x, b):
     return true_relres(T, np.ldexp(x, -e), np.ldexp(b, -e))
 
 
+def oracle_half_spectra(T):
+    """(P, S_EE, S_EO) of T's stride-2 blocks, built as the sweep built
+    them before SymToeplitz took over its products."""
+    t, m = T.symbol, T.m
+    pad = 1 << (m - 1).bit_length()
+    n_even, n_odd = (m + 1) // 2, m // 2
+    col = np.zeros(pad)
+    col[:n_even] = t[0::2]
+    col[pad - n_even + 1:] = t[2::2][::-1]
+    s_ee = np.fft.rfft(col).real.copy()
+    col[:] = 0.0
+    col[:n_even] = t[np.abs(2 * np.arange(n_even) - 1)]
+    col[pad - n_odd + 1:] = t[2 * n_odd - 1:2:-2]
+    return pad, s_ee, np.fft.rfft(col)
+
+
+def oracle_stride2_sweep(T, x, b, r, w):
+    """The FFT sweep with its own spectra, pad, row counts and
+    transforms, as it was written before SymToeplitz took over its
+    products; the sweep must equal it bitwise."""
+    pad, s_ee, s_eo = oracle_half_spectra(T)
+    F, C = slice(0, None, 2), slice(1, None, 2)
+    nf, nc = (T.m + 1) // 2, T.m // 2
+
+    def spectrum(v):
+        return np.fft.rfft(v, n=pad) if v.any() else 0.0
+
+    def f_rows(xf, xc):
+        return b[F] - np.fft.irfft(s_ee * xf + s_eo * xc, n=pad)[:nf]
+
+    def c_rows(xf, xc):
+        return b[C] - np.fft.irfft(s_eo.conj() * xf + s_ee * xc,
+                                   n=pad)[:nc]
+
+    xc = spectrum(x[C])
+    x[F] += (f_rows(spectrum(x[F]), xc) if r is None else r[F]) * w
+    xf = np.fft.rfft(x[F], n=pad)
+    x[C] += c_rows(xf, xc) * w
+    xc = np.fft.rfft(x[C], n=pad)
+    x[F] += f_rows(xf, xc) * w
+
+    def residual():
+        xf = np.fft.rfft(x[F], n=pad)
+        out = np.empty_like(x)
+        out[F] = f_rows(xf, xc)
+        out[C] = c_rows(xf, xc)
+        return out
+    return x, residual
+
+
 class TestCfJacobi:
     def test_matches_dense_reference(self):
         T = spd_toeplitz(30, seed=5)
@@ -113,6 +163,20 @@ class TestCfJacobi:
             r_after = residual()
             assert close(r_after, want_residual())
             assert close(r_after, b - T.matvec(got))
+
+
+    @pytest.mark.parametrize("m", [385, 386, 511, 1023, 4095])
+    def test_fft_sweep_is_the_oracle_bitwise(self, m):
+        T, b = first_step_set1(m + 1)
+        assert T.dense_rows() is None
+        x = np.random.default_rng(m).standard_normal(m)
+        for x in (x, np.zeros(m)):
+            for r in (None, b - T.matvec(x)):
+                got, residual = cf_jacobi_sweep(T, x, b, r)
+                want, want_residual = oracle_stride2_sweep(
+                    T, x.copy(), b, r, 1.0 / T.symbol[0])
+                assert np.array_equal(got, want)
+                assert np.array_equal(residual(), want_residual())
 
 
 class TestNorm2:

@@ -1,9 +1,14 @@
-"""Symmetric Toeplitz kernel: FFT matvec, row sums, dense conversion."""
+"""Symmetric Toeplitz kernel: FFT matvec, stride-2 rows, row sums, dense
+conversion, and the modules that may know its product forms."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import mtfade
 from mtfade import SymToeplitz
 from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
@@ -151,35 +156,40 @@ def test_matvec_takes_any_real_vector_as_float64():
 
 @pytest.mark.parametrize("m", [385, 386, 1023, 1024])
 def test_stride2_blocks_match_the_full_product(m):
-    # odd and even m: the four stride-2 blocks from the two half spectra,
+    # odd and even m: the four stride-2 blocks read from stride2_rows,
     # against the even and odd rows of the full circulant product and the
     # dense blocks
     T = SymToeplitz(random_symbol(m, seed=m))
     assert m > DENSE_MATVEC_CUTOFF and T._half is None  # built on first use
-    pad, s_ee, s_eo = T.half_spectra()
-    assert pad == 1 << (m - 1).bit_length()  # >= m: half a full pad
-    assert 2 * pad == T._embed_spectrum()[0]
-    assert s_ee.dtype == np.float64  # real
-    assert s_ee.shape == s_eo.shape == (pad // 2 + 1,)
-    assert T.half_spectra()[1] is s_ee  # cached
-    dense = scipy.linalg.toeplitz(T.symbol)
+    assert T.dense_rows() is None  # the smoother reads stride2_rows here
+    spectrum, rows = T.stride2_rows()
     ev, od = slice(0, None, 2), slice(1, None, 2)
-    nf, nc = (m + 1) // 2, m // 2
     x = np.random.default_rng(m + 2).standard_normal(m)
-    xf, xc = np.fft.rfft(x[ev], n=pad), np.fft.rfft(x[od], n=pad)
-
-    def block(spectrum, xs, rows):
-        return np.fft.irfft(spectrum * xs, n=pad)[:rows]
-
+    xf, xc = spectrum(x[ev]), spectrum(x[od])
+    pad, s_ee, s_eo = T._half
+    assert pad == 1 << (m - 1).bit_length()  # >= m: half a full pad
     full = T._circulant_product(x)
+    assert 2 * pad == T._circulant[0]
+    assert s_ee.dtype == np.float64  # real
+    assert xf.shape == xc.shape == s_ee.shape == s_eo.shape == (
+        pad // 2 + 1,)
+    T.stride2_rows()
+    assert T._half[1] is s_ee  # cached
+    dense = scipy.linalg.toeplitz(T.symbol)
+    nf, nc = (m + 1) // 2, m // 2
+
+    def block(s, xs, n):
+        return np.fft.irfft(s * xs, n=pad)[:n]
+
     scale = np.max(np.abs(full))
     for got, want in (
-            (block(s_ee, xf, nf) + block(s_eo, xc, nf), full[ev]),
-            (block(s_eo.conj(), xf, nc) + block(s_ee, xc, nc), full[od]),
-            (block(s_ee, xf, nf), dense[ev, ev] @ x[ev]),
-            (block(s_eo, xc, nf), dense[ev, od] @ x[od]),
-            (block(s_eo.conj(), xf, nc), dense[od, ev] @ x[ev]),
-            (block(s_ee, xc, nc), dense[od, od] @ x[od])):
+            (rows(0, xf, xc), full[ev]),
+            (rows(1, xf, xc), full[od]),
+            (rows(0, xf, 0.0), dense[ev, ev] @ x[ev]),
+            (rows(0, 0.0, xc), dense[ev, od] @ x[od]),
+            (rows(1, xf, 0.0), dense[od, ev] @ x[ev]),
+            (rows(1, 0.0, xc), dense[od, od] @ x[od])):
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
     # the identities behind storing two spectra: the circulant column of
     # T_OE alone (entry t_|2k+1| at lag k = a - b) has the spectrum
@@ -194,5 +204,38 @@ def test_stride2_blocks_match_the_full_product(m):
     s_oe = np.fft.rfft(col_oe)
     assert np.max(np.abs(s_oe - s_eo.conj())) <= 1e-14 * np.max(np.abs(s_eo))
     s_oo = np.fft.rfft(col_oo)
-    assert np.max(np.abs(block(s_oo, xc, nc) - block(s_ee, xc, nc))) <= (
+    assert np.max(np.abs(block(s_oo, xc, nc) - rows(1, 0.0, xc))) <= (
         1e-13 * scale)
+
+
+def names_in_code(node):
+    """The names an ast node refers to: a.b for an attribute of a name,
+    the attribute, the name, and what an import binds, dotted."""
+    if isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+        yield node.attr
+    elif isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        module = getattr(node, "module", None)
+        for alias in node.names:
+            yield alias.name
+            if module:
+                yield f"{module}.{alias.name}"
+
+
+def test_only_this_module_knows_the_product_forms():
+    # The circulant layouts and the dense/FFT cutoff live in toeplitz.py;
+    # any other module that refers to numpy.fft or DENSE_MATVEC_CUTOFF in
+    # its code (docstrings and comments do not count) fails.
+    found = []
+    for path in sorted(Path(mtfade.__file__).parent.glob("*.py")):
+        if path.name == "toeplitz.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            for name in names_in_code(node):
+                if (name in ("np.fft", "numpy.fft", "DENSE_MATVEC_CUTOFF")
+                        or name.startswith("numpy.fft.")):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found
