@@ -78,7 +78,10 @@ def classify(T: SymToeplitz, mu: Optional[float] = None,
         pattern = "first-offdiag-nonnegative"
     else:
         pattern = "other"
-    dominance = bool(t[0] > 2.0 * np.sum(np.abs(t[1:])))
+    # strict row dominance: row i's off-diagonal sum is p[i] + p[m-1-i],
+    # p the prefix sums 0, |t_1|, |t_1| + |t_2|, ...
+    p = np.concatenate(([0.0], np.cumsum(np.abs(t[1:]))))
+    dominance = bool(abs(t[0]) > np.max(p + p[::-1]))
     row_sums = T.row_sums()
     row_sums_positive = bool(np.all(row_sums > 0))
     m_matrix = bool(pattern == "all-negative" and row_sums_positive)

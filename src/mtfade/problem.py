@@ -145,6 +145,8 @@ class Mesh:
         if self.h <= 0:
             raise ValueError("spatial step must be positive")
         taus = np.asarray(self.taus, dtype=np.float64)
+        if taus.size == 0:
+            raise ValueError("taus must hold at least one time step")
         if not np.all(np.isfinite(taus)):
             raise ValueError("taus must be finite")
         if np.any(taus <= 0):

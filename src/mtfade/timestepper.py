@@ -35,11 +35,9 @@ class RunResult:
     """A finished march.  states holds U^0 .. U^N as rows.  The phase
     timers are wall seconds and together cover the step loop: setup
     covers the step matrices and solvers (once on a uniform mesh, every
-    step on a graded one), rhs the right-hand sides and the products
-    A x_j of the projected start, which share A U^{n-1} with them
-    (ProjectedStart.advance), solve the linear solves and the rest of
-    the projected start (its Gram matrix, 6 x 6 solve and residual
-    test)."""
+    step on a graded one), rhs the right-hand sides with the product
+    A U^{n-1} they share, and solve the projected starts and the linear
+    solves."""
 
     states: np.ndarray
     l2_error: Optional[float]
@@ -71,10 +69,7 @@ class ProjectedStart:
     own Gram matrix loses.
 
     The products A x_j are kept, oldest first, against the step matrix
-    they were taken with (advance): a uniform mesh adds one product per
-    step, A U^{n-1}, which the step's right-hand side shares; a new
-    matrix (every step of a graded mesh) retakes all of them as one
-    block product.  A start is a fixed sequence of calls: the Gram
+    they were taken with.  A start is a fixed sequence of calls: the Gram
     matrix and the products with D and AD by BLAS dgemm and dgemv, the
     sums by daxpy, the solve by LAPACK dgesv, the norms by ddot and
     |c|_1 by dasum.  When the Gram matrix is singular, or the
@@ -89,34 +84,23 @@ class ProjectedStart:
         self._matrix = None
         self._level = 0
 
-    def advance(self, A, states: np.ndarray) -> np.ndarray:
-        """Bring the products up to level n = len(states) and return
-        A U^{n-1} as A.matvec takes it, for the step's right-hand side
-        (rhs_vector's au).  On the same matrix one level on, that is
-        the one new product, shared; otherwise the window is retaken as
-        one block product, whose rows need not match matvec's bitwise,
-        and A U^{n-1} is taken on its own."""
+    def start(self, A, b: np.ndarray, states: np.ndarray,
+              au: np.ndarray) -> np.ndarray:
+        """x0 for A x = b at level n = len(states); states holds
+        U^0 .. U^{n-1} as rows and is only read, and au is A U^{n-1} as
+        A.matvec takes it, the product the step's right-hand side
+        shares.  On the same matrix one level on, au is the window's
+        one new product; on a new matrix the window is retaken as one
+        block product, whose last row stands for A U^{n-1} here."""
         n = len(states)
         x = states[max(0, n - PROJECTION_WINDOW):]
         ax = self._products[PROJECTION_WINDOW - len(x):]
-        au = A.matvec(x[-1])
         if A is self._matrix and n == self._level + 1:
             self._products[:-1] = self._products[1:]
             ax[-1] = au
         else:
             ax[:] = A.row_products(x)
         self._matrix, self._level = A, n
-        return au
-
-    def start(self, A, b: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """x0 for A x = b at level n = len(states); states holds
-        U^0 .. U^{n-1} as rows and is only read.  The products are
-        brought up to that level first unless advance already did."""
-        n = len(states)
-        if A is not self._matrix or n != self._level:
-            self.advance(A, states)
-        x = states[max(0, n - PROJECTION_WINDOW):]
-        ax = self._products[PROJECTION_WINDOW - len(x):]
         u, au = x[-1], ax[-1]
         d = x - u
         d[-1] = u
@@ -161,19 +145,14 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
     nodes.  Each step assembles the right-hand side from the states so
     far and solves with the adaptive solver, started from the Galerkin
     projection of its system onto the last PROJECTION_WINDOW states
-    (ProjectedStart).  The start needs the products A x_j of those
-    states: on a uniform mesh only A U^{n-1} is new, and the right-hand
-    side shares it, so a step takes one step-matrix product before its
-    solve; a graded step retakes all PROJECTION_WINDOW as one block
-    product and A U^{n-1} on its own.  The products are timed with the
-    right-hand sides and the rest of the start with the solves.  The
-    states fill one (N+1, M-1) array, allocated up front.  A uniform
-    time mesh shares one step matrix and solver across all steps.  A
-    graded one builds each step's matrix from the mesh's cached mass and
-    stiffness symbols (only the three coefficients depend on the step)
-    and a hierarchy for it; every step shares the one mass matrix.
-    A mesh whose m cells of width h do not span spec.domain is rejected
-    (ValueError) before the first step.
+    (ProjectedStart).  A step takes A U^{n-1} once, for its right-hand
+    side and its start.  The states fill one (N+1, M-1) array, allocated
+    up front.  A uniform time mesh shares one step matrix and solver
+    across all steps.  A graded one builds each step's matrix from the
+    mesh's cached mass and stiffness symbols (only the three
+    coefficients depend on the step) and a hierarchy for it; every step
+    shares the one mass matrix.  A mesh whose m cells of width h do not
+    span spec.domain is rejected (ValueError) before the first step.
     """
     a, b = spec.domain
     if abs(mesh.h * mesh.m - (b - a)) > 1e-12 * (b - a):
@@ -196,10 +175,10 @@ def march(spec: ProblemSpec, mesh: Mesh, tol: float = 1e-12,
             solver = _step_solver(spec, mesh, n, force)
         t1 = clock()
         A = solver.mats.a_full
-        b = rhs_vector(spec, mesh, states[:n], solver.mats,
-                       projection.advance(A, states[:n]))
+        au = A.matvec(states[n - 1])
+        b = rhs_vector(spec, mesh, states[:n], solver.mats, au)
         t2 = clock()
-        x0 = projection.start(A, b, states[:n])
+        x0 = projection.start(A, b, states[:n], au)
         x, rep = solver.solve(b, tol=tol, x0=x0, force=force)
         t3 = clock()
         setup_seconds += t1 - t0

@@ -7,6 +7,7 @@ from mtfade import (FractionalOrders, TimePolicy, beta0, class_conditions,
                     classify, kappa_ratio_table, make_example_1, make_mesh,
                     spectrum, step_matrix, stiffness_symbol,
                     two_level_contraction)
+from mtfade.toeplitz import SymToeplitz
 
 # Root of 3^(3-2b) - 2^(5-2b) + 7 in (0, 1/2), 40-digit arithmetic.
 # Note the same expression also vanishes at exactly b = 1/2, so the
@@ -63,6 +64,29 @@ class TestClassify:
     def test_bounds_skipped_on_coarse_mesh(self):
         rep = classify(stiffness_symbol(0.8, 4, 0.25), mu=0.8, h=0.25)
         assert rep.row_sum_bounds_hold is None
+
+    @pytest.mark.parametrize("symbol, dominant", [
+        # row off-diagonal sums 1.7, 2.4, 2.4, 1.7, though 2 sum |t_k| = 3.4
+        ((3.0, -1.0, -0.4, -0.3), True),
+        ((2.0, -1.0, -0.4, -0.3), False),  # row 1's sum is 2.4
+    ])
+    def test_dominance_is_per_row(self, symbol, dominant):
+        rep = classify(SymToeplitz(np.array(symbol)))
+        assert rep.diagonally_dominant is dominant
+
+    def test_dominance_matches_the_dense_definition(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(200):
+            m = int(rng.integers(1, 12))
+            t = rng.standard_normal(m)
+            t[0] = rng.uniform(0.5, 2.0) * np.abs(t[1:]).sum()
+            dense = SymToeplitz(t).to_dense()
+            off = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
+            want = bool(np.all(np.abs(np.diag(dense)) > off))
+            assert classify(SymToeplitz(t)).diagonally_dominant is want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestClassConditions:

@@ -229,6 +229,11 @@ class TestInvalidInput:
         with pytest.raises(ValueError, match="times"):
             Mesh(**mesh)
 
+    def test_empty_time_grid_is_refused(self):
+        with pytest.raises(ValueError, match="taus") as err:
+            Mesh(m=8, h=1 / 8, taus=[], times=[0.0])
+        assert "\n" not in str(err.value)
+
     @pytest.mark.parametrize("field, value", [
         ("a_coeffs", (1.0, math.nan)), ("a_coeffs", (math.inf, 1.0)),
         ("k1", math.nan), ("k2", math.inf), ("horizon", math.nan),

@@ -210,7 +210,8 @@ class TestProjectedStart:
         proj = ProjectedStart(A.m)
         for n in range(1, len(states)):
             want = states[n]
-            x0 = proj.start(A, A.matvec(want), states[:n])
+            x0 = proj.start(A, A.matvec(want), states[:n],
+                            A.matvec(states[n - 1]))
             assert self.a_norm(want - x0) \
                 <= self.a_norm(want - states[n - 1])
         # a full window of a smooth history gains orders of magnitude
@@ -227,30 +228,33 @@ class TestProjectedStart:
         proj = ProjectedStart(self.A.m)
         for n in range(1, len(states)):
             A = other if n in (4, 5, 8) else self.A
-            proj.start(A, A.matvec(states[n]), states[:n])
+            proj.start(A, A.matvec(states[n]), states[:n],
+                       A.matvec(states[n - 1]))
             window = states[max(0, n - PROJECTION_WINDOW):n]
             np.testing.assert_allclose(
                 proj._products[-len(window):], A.row_products(window),
                 rtol=0, atol=1e-13 * np.abs(window).max())
 
-    @pytest.mark.parametrize("policy", [TimePolicy.TAU_EQ_H,
-                                        TimePolicy.TAU_EQ_H2])
-    def test_uniform_step_takes_one_product_outside_the_solve(
-            self, monkeypatch, policy):
-        # A U^{n-1} serves both the right-hand side and the projected
-        # start: one step-matrix product per step before the solve (step
-        # 1 retakes its one-row window as a block product, not a matvec).
-        spec = make_example_1(orders())
-        mesh = make_mesh(spec, 16, policy)
+    @staticmethod
+    def products_outside_the_solves(monkeypatch, spec, mesh):
+        """March, and return the step-matrix matvecs and the row_products
+        blocks taken outside the solves, each as the list of its
+        matrices in call order (the mass matrix's products left out)."""
         mass = step_matrix(spec, mesh, 1).mass  # one object per mesh
-        outside, solving = [], []
-        matvec = type(mass).matvec
+        Toeplitz = type(mass)
+        matvecs, blocks, solving = [], [], []
+        matvec, row_products = Toeplitz.matvec, Toeplitz.row_products
         solve = AdaptiveSolver.solve
 
-        def counted(self, x):
+        def counted_matvec(self, x):
             if not solving and self is not mass:
-                outside.append(self)
+                matvecs.append(self)
             return matvec(self, x)
+
+        def counted_block(self, x):
+            if not solving:
+                blocks.append(self)
+            return row_products(self, x)
 
         def solving_flagged(self, *args, **kwargs):
             solving.append(True)
@@ -259,11 +263,40 @@ class TestProjectedStart:
             finally:
                 solving.pop()
 
-        monkeypatch.setattr(type(mass), "matvec", counted)
+        monkeypatch.setattr(Toeplitz, "matvec", counted_matvec)
+        monkeypatch.setattr(Toeplitz, "row_products", counted_block)
         monkeypatch.setattr(AdaptiveSolver, "solve", solving_flagged)
         march(spec, mesh, tol=1e-12)
-        assert len(outside) == mesh.n_steps
-        assert len({id(a) for a in outside}) == 1  # the one step matrix
+        return matvecs, blocks
+
+    @pytest.mark.parametrize("policy", [TimePolicy.TAU_EQ_H,
+                                        TimePolicy.TAU_EQ_H2])
+    def test_uniform_step_takes_one_product_outside_the_solve(
+            self, monkeypatch, policy):
+        # A U^{n-1} serves both the right-hand side and the projected
+        # start: one step-matrix product per step before the solve, and
+        # one block product (step 1 retakes its one-row window).
+        spec = make_example_1(orders())
+        mesh = make_mesh(spec, 16, policy)
+        matvecs, blocks = self.products_outside_the_solves(monkeypatch,
+                                                           spec, mesh)
+        assert len(matvecs) == mesh.n_steps
+        assert len({id(a) for a in matvecs}) == 1  # the one step matrix
+        assert len(blocks) == 1 and blocks[0] is matvecs[0]
+
+    def test_graded_step_takes_one_product_and_one_block(self,
+                                                          monkeypatch):
+        # march-graded's mesh with fewer steps: each step has its own
+        # matrix, takes A U^{n-1} with it once and retakes its window
+        # with it as one block product.
+        spec = make_example_1(orders())
+        times = spec.horizon * (np.arange(17) / 16) ** 2
+        mesh = Mesh(m=64, h=1 / 64, taus=np.diff(times), times=times)
+        matvecs, blocks = self.products_outside_the_solves(monkeypatch,
+                                                           spec, mesh)
+        assert len(matvecs) == mesh.n_steps
+        assert len({id(a) for a in matvecs}) == mesh.n_steps
+        assert [id(a) for a in blocks] == [id(a) for a in matvecs]
 
     @pytest.mark.parametrize("history", ["zero", "identical", "collinear",
                                          "zero-then-one", "rounding-noise",
@@ -283,9 +316,10 @@ class TestProjectedStart:
                   "rounding-noise": u + 1e-17 * noise,
                   "huge": np.outer(1e300 * np.arange(1, 8), u)}[history]
         b = A.matvec(1.5 * u + self.x)
+        au = A.matvec(states[-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x0 = ProjectedStart(A.m).start(A, b, states)
+            x0 = ProjectedStart(A.m).start(A, b, states, au)
         assert np.all(np.isfinite(x0))
         r0, r = b - A.matvec(x0), b - A.matvec(states[-1])
         if history != "huge":  # whose residual overflows
@@ -309,9 +343,9 @@ class TestProjectedStart:
         projected = 0
         for n in range(1, mesh.n_steps + 1):
             mats = step_matrix(spec, mesh, n)
-            au = proj.advance(mats.a_full, states[:n])
+            au = mats.a_full.matvec(states[n - 1])
             b = rhs_vector(spec, mesh, states[:n], mats, au)
-            x0 = proj.start(mats.a_full, b, states[:n])
+            x0 = proj.start(mats.a_full, b, states[:n], au)
             assert np.array_equal(x0, oracle_start(proj, b, states[:n]))
             projected += not np.shares_memory(x0, states)
         assert projected >= mesh.n_steps // 2  # the projection is taken
@@ -323,10 +357,11 @@ class TestProjectedStart:
         A = self.A
         states = smooth_history(self.x, 0.02 * np.arange(7))
         b = scale * A.matvec(states[-1] + self.x)
+        au = A.matvec(states[-1])
         proj = ProjectedStart(A.m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x0 = proj.start(A, b, states)
+            x0 = proj.start(A, b, states, au)
         assert np.array_equal(x0, states[-1])
         assert np.array_equal(x0, oracle_start(proj, b, states))
 
@@ -342,11 +377,12 @@ class TestProjectedStart:
         # No call may warn, and the start is U^{n-1}, as the oracle's.
         A = self.A
         states = size * np.sin(np.pi * self.x)[None, :]
-        b = b_of(A.matvec(states[-1]))
+        au = A.matvec(states[-1])
+        b = b_of(au)
         proj = ProjectedStart(A.m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x0 = proj.start(A, b, states)
+            x0 = proj.start(A, b, states, au)
         assert np.array_equal(x0, states[-1])
         assert np.array_equal(x0, oracle_start(proj, b, states))
 
@@ -362,9 +398,9 @@ class TestProjectedStart:
         pause = 0.01
         start = ProjectedStart.start
 
-        def slow(self, A, b, states):
+        def slow(self, A, b, states, au):
             time.sleep(pause)
-            return start(self, A, b, states)
+            return start(self, A, b, states, au)
 
         monkeypatch.setattr(timestepper.ProjectedStart, "start", slow)
         spec = make_example_1(orders())
