@@ -99,22 +99,33 @@ def _spatial_symbols(m: int, h: float, beta: float, gamma: float):
 @dataclass(frozen=True)
 class StepMatrix:
     """The per-step coefficient matrix A = c_mass M + c_beta S_beta +
-    c_gamma S_gamma, with the mass matrix M and the scalar c_mass that
-    the right-hand side also needs.
+    c_gamma S_gamma, with what the right-hand side also needs: the mass
+    matrix M, the scalar c_mass and the step's scale
+    rhs_scale = s = Gamma(3 - alpha0) tau^(alpha0 - 1).
 
-    M, S_beta and S_gamma depend on the mesh alone and are built once per
-    mesh; a step computes the three coefficients and combines the
-    symbols.  mass is the mesh's one shared, read-only M, so its dense
-    copy (or circulant spectrum) is made once, not once per step."""
+    With c' = sum_i a_i tau^(1 - alpha_i) / Gamma(3 - alpha_i), the
+    coefficients satisfy
+
+        s (c' M - k1 tau/2 S_beta - k2 tau/2 S_gamma) = 2 c_mass M - A,
+
+    since s c' is c_mass and s k tau/2 are the stiffness coefficients of
+    A; rhs_vector relies on it.  M, S_beta and S_gamma depend on the mesh
+    alone and are built once per mesh; a step computes the three
+    coefficients and combines the symbols.  mass is the mesh's one
+    shared, read-only M, so its dense copy (or circulant spectrum) is
+    made once, not once per step."""
 
     a_full: SymToeplitz
     mass: SymToeplitz
     c_mass: float
     tau: float
+    rhs_scale: float
 
 
 def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
-    """Assemble the coefficient matrix for time level n (1-based)."""
+    """Assemble the coefficient matrix for time level n (1-based), with
+    its mass matrix, c_mass and rhs_scale, all from one Gamma(3 - alpha0)
+    and the level's tau."""
     if not 1 <= n <= mesh.n_steps:
         raise ValueError(f"time level {n} outside 1..{mesh.n_steps}")
     orders = spec.orders
@@ -130,7 +141,7 @@ def step_matrix(spec: ProblemSpec, mesh: Mesh, n: int) -> StepMatrix:
     symbol = (c_mass * mass.symbol + c_beta * stiff_b.symbol
               + c_gamma * stiff_g.symbol)
     return StepMatrix(a_full=SymToeplitz(symbol), mass=mass, c_mass=c_mass,
-                      tau=tau)
+                      tau=tau, rhs_scale=g0 * tau ** (a0 - 1.0))
 
 
 def initial_state(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
@@ -276,35 +287,37 @@ def history_weight(alpha, n: int, k, mesh: Mesh):
     weights of all those levels at once, and alpha an array of orders,
     giving one row of weights per order (shape alpha.shape + k.shape).
     With e = 2 - alpha and g_j = (t_n - t_j)^e - (t_{n-1} - t_j)^e, the
-    weight is (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)); g is taken once
-    over j = min(k)-1 .. max(k), so the weights of every order cost one
-    pass of two arrays of powers.  A range of step 1 (the contiguous
-    levels rhs_vector asks for, range(1, n)) reads its weights and
-    tau_k as slices, with no min, max or gather.
+    weight is (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)).  Every k takes g
+    over j = lo-1 .. hi and tau_lo .. tau_hi as slices, lo and hi its
+    least and greatest level, and divides once over those contiguous
+    levels; a k that is not a range of step 1 then picks its levels from
+    the result.  So the weights of every order cost one pass of two
+    arrays of powers, and a range of step 1 (the levels rhs_vector asks
+    for, range(1, n)) takes no min, max or gather.
     rhs_vector calls it on graded meshes only, once per step for all the
     orders; a uniform mesh reads its weights from one lag row (_lag_row).
     """
     if isinstance(k, range) and k.step == 1:
-        lo, hi = k.start, k.stop - 1
-        pick, taus = ..., mesh.taus[lo - 1:hi]
+        lo, hi, pick = k.start, k.stop - 1, ...
     else:
         k = np.asarray(k)
         lo, hi = int(k.min()), int(k.max())
-        pick, taus = (..., k - lo), mesh.taus[k - 1]
+        pick = (..., k - lo)
     if lo < 1 or hi > n - 1:
         raise ValueError(f"history index k={k} must satisfy 1 <= k <= n-1={n - 1}")
+    if n > mesh.n_steps:
+        raise ValueError(f"level n={n} is past the mesh's {mesh.n_steps} steps")
     alpha = np.asarray(alpha, dtype=np.float64)
     t = mesh.times[lo - 1:hi + 1]
     e = (2.0 - alpha)[..., None]  # one row of g per order
     g = (mesh.times[n] - t) ** e - (mesh.times[n - 1] - t) ** e
-    num = (g[..., :-1] - g[..., 1:])[pick]
-    scale = gamma_fn(3.0 - alpha).reshape(alpha.shape + (1,) * taus.ndim)
-    return num / (taus * scale)
+    scale = mesh.taus[lo - 1:hi] * gamma_fn(3.0 - alpha)[..., None]
+    return ((g[..., :-1] - g[..., 1:]) / scale)[pick]
 
 
 @functools.lru_cache(maxsize=8)
 def _lag_row(orders, tau: float, n_steps: int):
-    """The memory weights of a uniform mesh by lag: (w, back), read-only.
+    """The memory weights of a uniform mesh by lag, as one read-only row.
 
     With uniform steps the weight of level k at level n depends on the
     lag L = n - k alone: tau^(1-alpha) ((L+1)^e - 2 L^e + (L-1)^e) /
@@ -312,18 +325,16 @@ def _lag_row(orders, tau: float, n_steps: int):
     it, the second difference of t^e at the elapsed times L tau over
     tau Gamma(3-alpha), from one array of powers per order.  w[L] sums
     it over the temporal orders for L = 0 .. N-1 (w[0] = 0: no level
-    has lag 0).  back[i] = w[N-2-i] - w[N-1-i], so the differenced row
-    of step n is w[n-1] followed by back[N-n:].
+    has lag 0), so the weights of levels k = 1 .. n-1 at step n are
+    w[n-1:0:-1].
     """
     lag_times = tau * np.arange(n_steps + 1)
     w = np.zeros(n_steps)
     for alpha, c in zip(orders.alphas, orders.a_coeffs):
         g = np.diff(lag_times ** (2.0 - alpha))
         w[1:] += c / (tau * gamma_fn(3.0 - alpha)) * (g[1:] - g[:-1])
-    back = (w[:-1] - w[1:])[::-1].copy()
     w.setflags(write=False)
-    back.setflags(write=False)
-    return w, back
+    return w
 
 
 def _memory_row(orders, mesh: Mesh, n: int) -> np.ndarray:
@@ -331,18 +342,19 @@ def _memory_row(orders, mesh: Mesh, n: int) -> np.ndarray:
 
     mem = sum_k w_k (U^k - U^{k-1}) = sum_j (w_j - w_{j+1}) U^j with
     w_0 = w_n = 0, the w_k summed over the temporal orders in order.  A
-    uniform mesh slices its cached lag row; a graded one takes the rows
-    of all the orders from one history_weight call on the contiguous
-    levels range(1, n).
+    uniform mesh reads w_1 .. w_{n-1} as a reversed slice of its cached
+    lag row; a graded one sums the rows of all the orders from one
+    history_weight call on the contiguous levels range(1, n).  Both
+    difference w the same way.
     """
     if mesh.uniform:
-        w, back = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)
-        return np.concatenate((w[n - 1:n], back[mesh.n_steps - n:]))
-    rows = history_weight(np.array(orders.alphas), n, range(1, n), mesh)
-    coeffs = orders.a_coeffs
-    w = coeffs[0] * rows[0]
-    for c, row in zip(coeffs[1:], rows[1:]):
-        w += c * row
+        w = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)[n - 1:0:-1]
+    else:
+        rows = history_weight(np.array(orders.alphas), n, range(1, n), mesh)
+        coeffs = orders.a_coeffs
+        w = coeffs[0] * rows[0]
+        for c, row in zip(coeffs[1:], rows[1:]):
+            w += c * row
     dw = np.empty(n)
     dw[0] = w[0]
     np.subtract(w[1:], w[:-1], out=dw[1:-1])
@@ -358,17 +370,15 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
     states holds U^0 .. U^{n-1} as rows, and mats is the step matrix A
     for this level's time step.  au is A U^{n-1} when the caller has
     already taken it with mats.a_full.matvec (march shares it with the
-    projected start), and is otherwise taken here.  With
-    s = Gamma(3 - alpha0) tau^(alpha0 - 1) and the memory sum
+    projected start), and is otherwise taken here.  With the step's
+    scale s = mats.rhs_scale and the memory sum
     mem = sum_k w_k (U^k - U^{k-1}),
 
         F^n = s F_src + M (2 c_mass U^{n-1} - s mem) - A U^{n-1},
 
-    since s (c' M - k1 tau/2 S_beta - k2 tau/2 S_gamma) = 2 c_mass M - A
-    (s c' is c_mass and s k tau/2 are the stiffness coefficients of A).
-    The memory weights come from one cached lag row on a uniform mesh
-    and from one history_weight call, two arrays of powers per temporal
-    order, on a graded one.
+    by the identity StepMatrix states.  The memory weights come from one
+    cached lag row on a uniform mesh and from one history_weight call,
+    two arrays of powers per temporal order, on a graded one.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != mesh.m - 1 \
@@ -378,8 +388,7 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
     n = len(states)
     if abs(mats.tau - mesh.taus[n - 1]) > 1e-14 * mats.tau:
         raise ValueError(f"step matrix tau {mats.tau} is not that of level {n}")
-    a0 = spec.orders.alpha0
-    s = gamma_fn(3.0 - a0) * mats.tau ** (a0 - 1.0)
+    s = mats.rhs_scale
 
     u_prev = states[n - 1]
     v = 2.0 * mats.c_mass * u_prev

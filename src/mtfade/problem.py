@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -128,6 +129,15 @@ class TimePolicy(enum.Enum):
     TAU_CONST = "tau-const"
 
 
+def _check_cells(m):
+    """Refuse a cell count m that is not an integer of at least 4
+    (numpy integers pass; 8.0 and nan do not)."""
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if m < 4:
+        raise ValueError("need at least 4 spatial cells")
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Uniform spatial grid plus a (by default uniform) time grid."""
@@ -138,8 +148,7 @@ class Mesh:
     times: np.ndarray
 
     def __post_init__(self):
-        if self.m < 4:
-            raise ValueError("need at least 4 spatial cells")
+        _check_cells(self.m)
         if not math.isfinite(self.h):
             raise ValueError(f"h must be finite, got {self.h}")
         if self.h <= 0:
@@ -189,8 +198,7 @@ def make_mesh(spec: ProblemSpec, m: int, policy: TimePolicy,
 
     N is rounded up so that N * tau = T exactly (tau is then T / N).
     """
-    if m < 4:
-        raise ValueError("need at least 4 spatial cells")
+    _check_cells(m)
     a, b = spec.domain
     h = (b - a) / m
     T = spec.horizon
@@ -199,8 +207,9 @@ def make_mesh(spec: ProblemSpec, m: int, policy: TimePolicy,
     elif policy is TimePolicy.TAU_EQ_H2:
         tau_nominal = h * h
     elif policy is TimePolicy.TAU_CONST:
-        if tau_const is None or tau_const <= 0:
-            raise ValueError("tau-const policy needs a positive tau_const")
+        if tau_const is None or not 0.0 < tau_const < math.inf:
+            raise ValueError(f"tau-const policy needs a positive, finite "
+                             f"tau_const, got {tau_const}")
         tau_nominal = tau_const
     else:
         raise ValueError(f"unknown time policy {policy!r}")

@@ -265,6 +265,33 @@ class TestStepMatrix:
         assert np.allclose(mats.a_full.symbol,
                            closed_form_symbol(spec, mesh, mats.tau), rtol=1e-15)
 
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_rhs_scale_matches_the_coefficients(self, graded):
+        # rhs_vector takes F^n = s F_src + M (2 c_mass U^{n-1} - s mem)
+        # - A U^{n-1} because s (c' M - k1 tau/2 S_beta - k2 tau/2
+        # S_gamma) = 2 c_mass M - A, with c' = sum_i a_i tau^(1 - alpha_i)
+        # / Gamma(3 - alpha_i); both sides from symbols built afresh.
+        spec = make_example_2(
+            FractionalOrders((0.7, 0.4), (1.0, 1.0), 0.3, 0.85), 5.0, 30.0)
+        if graded:
+            mesh = graded_mesh(spec, 32, 40)
+        else:
+            mesh = make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
+        mats = step_matrix(spec, mesh, mesh.n_steps // 2)
+        orders, tau = spec.orders, mats.tau
+        a0 = orders.alpha0
+        assert mats.rhs_scale == gamma_fn(3.0 - a0) * tau ** (a0 - 1.0)
+        c_prev = sum(c * tau ** (1.0 - a) / gamma_fn(3.0 - a)
+                     for a, c in zip(orders.alphas, orders.a_coeffs))
+        got = mats.rhs_scale * (
+            c_prev * mass_symbol(mesh.m, mesh.h).symbol
+            - spec.k1 * tau / 2.0
+            * stiffness_symbol(orders.beta, mesh.m, mesh.h).symbol
+            - spec.k2 * tau / 2.0
+            * stiffness_symbol(orders.gamma, mesh.m, mesh.h).symbol)
+        want = 2.0 * mats.c_mass * mats.mass.symbol - mats.a_full.symbol
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     def test_out_of_range_level(self):
         spec = default_spec()
         mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
@@ -544,25 +571,41 @@ class TestHistoryWeights:
                         got, four_term_history_weight(alpha, n, k, mesh),
                         rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("alphas", [SET1[0], SET1[0][:1], SET1[0][1:]])
-    def test_lag_row_matches_history_weight(self, alphas):
-        # Both forms lose about 2 log10(lag) digits to the same
-        # cancellation, so the bound is tight only for short histories.
-        # Here tau = 2^-7, so the mesh's elapsed times are exact and both
-        # forms difference the same powers; on other uniform meshes they
-        # differ by that cancellation, about 3e-12 at N = 64.
+    @pytest.mark.parametrize("alphas, m, policy, tau_const", [
+        pytest.param(alphas, *mesh, id=f"alphas{i}{tag}")
+        for tag, mesh in (("", (16, TimePolicy.TAU_CONST, 0.5 / 64)),
+                          # the benchmark's tau = h and tau = h^2 meshes
+                          ("-tau-h", (256, TimePolicy.TAU_EQ_H, None)),
+                          ("-tau-h2", (32, TimePolicy.TAU_EQ_H2, None)))
+        for i, alphas in enumerate((SET1[0], SET1[0][:1], SET1[0][1:]))])
+    def test_lag_row_matches_history_weight(self, alphas, m, policy,
+                                            tau_const):
+        # At every level the row rhs_vector takes is the lag row's
+        # weights differenced as a graded row is, bitwise.  Against
+        # history_weight both forms lose about 2 log10(lag) digits to the
+        # same cancellation, so that bound is tight only for short
+        # histories: it is checked at tau = 2^-7, N = 64, where the
+        # mesh's elapsed times are exact and both forms difference the
+        # same powers; on other uniform meshes they differ by that
+        # cancellation, about 3e-12 at N = 64.
         orders = FractionalOrders(alphas, (1.0,) * len(alphas), *SET1[1:])
-        mesh = make_mesh(default_spec(), 16, TimePolicy.TAU_CONST,
-                         tau_const=0.5 / 64)
-        assert mesh.uniform and mesh.n_steps == 64
-        w_lag, _ = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)
+        mesh = make_mesh(default_spec(), m, policy, tau_const=tau_const)
+        assert mesh.uniform
+        if tau_const is not None:
+            assert mesh.n_steps == 64
+        w_lag = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)
+        assert not w_lag.flags.writeable  # cached and shared by every step
         for n in range(2, mesh.n_steps + 1):
+            w = w_lag[n - 1:0:-1]  # level k has lag n - k
+            dw = _memory_row(orders, mesh, n)
+            assert np.array_equal(
+                dw, np.concatenate((w[:1], np.diff(w), -w[-1:])))
+            if tau_const is None:
+                continue
             w = sum(c * history_weight(a, n, np.arange(1, n), mesh)
                     for a, c in zip(orders.alphas, orders.a_coeffs))
-            # level k has lag n - k
             np.testing.assert_allclose(w_lag[n - 1:0:-1], w, rtol=1e-12,
                                        atol=0.0)
-            dw = _memory_row(orders, mesh, n)
             want = np.concatenate((w[:1], np.diff(w), -w[-1:]))
             assert np.max(np.abs(dw - want)) <= 1e-12 * np.max(w)
 
@@ -609,6 +652,12 @@ class TestHistoryWeights:
             history_weight(0.5, 3, 0, mesh)
         with pytest.raises(ValueError):
             history_weight(0.5, 3, 3, mesh)
+        # a level past the mesh (N = 8 here) has no t_n to weigh against
+        n_past = mesh.n_steps + 1
+        for k in (3, np.array([1, 3]), range(1, n_past)):
+            with pytest.raises(ValueError, match="n=9") as err:
+                history_weight(0.5, n_past, k, mesh)
+            assert "\n" not in str(err.value)
 
 
 class TestRhsVector:

@@ -133,8 +133,25 @@ class TestMesh:
 
     def test_make_mesh_tau_const_requires_value(self):
         spec = make_example_1(orders_default())
-        with pytest.raises(ValueError):
-            make_mesh(spec, 16, TimePolicy.TAU_CONST)
+        for tau_const in (None, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau_const") as err:
+                make_mesh(spec, 16, TimePolicy.TAU_CONST, tau_const)
+            assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("m", [16.0, math.nan, np.float64(16)],
+                             ids=["float", "nan", "numpy-float"])
+    def test_make_mesh_requires_an_integer_m(self, m):
+        spec = make_example_1(orders_default())
+        with pytest.raises(ValueError, match="m must be an integer"):
+            make_mesh(spec, m, TimePolicy.TAU_EQ_H)
+
+    def test_numpy_integer_m_passes(self):
+        spec = make_example_1(orders_default())
+        want = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        mesh = make_mesh(spec, np.int64(16), TimePolicy.TAU_EQ_H)
+        assert mesh.m == 16 and np.array_equal(mesh.times, want.times)
+        assert Mesh(m=np.int32(16), h=want.h, taus=want.taus,
+                    times=want.times).m == 16
 
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +215,8 @@ def invalid_input(draw):
         (ProblemSpec, "k2"): positive_bad,
         (ProblemSpec, "horizon"): positive_bad,
         (ProblemSpec, "domain"): _one_entry(problem["domain"], NONFINITE),
+        # a cell count must be an integer: 8.0 is refused as nan is
+        (Mesh, "m"): NONFINITE | st.floats(4.0, 1e6),
         (Mesh, "h"): positive_bad,
         (Mesh, "taus"): _one_entry(mesh["taus"], positive_bad),
         (Mesh, "times"): _one_entry(mesh["times"], NONFINITE),
@@ -238,7 +257,7 @@ class TestInvalidInput:
         ("a_coeffs", (1.0, math.nan)), ("a_coeffs", (math.inf, 1.0)),
         ("k1", math.nan), ("k2", math.inf), ("horizon", math.nan),
         ("domain", (0.0, math.inf)), ("h", math.nan),
-        ("taus", [math.nan] * 8), ("times", [math.nan] * 9)])
+        ("taus", [math.nan] * 8), ("times", [math.nan] * 9), ("m", 8.0)])
     def test_message_names_the_field(self, field, value):
         orders, problem, mesh = _valid_fields()
         make, kwargs = next((make, kw) for make, kw in (
