@@ -24,9 +24,10 @@ from .toeplitz import SymToeplitz
 DEFAULT_SEED = 0x5EED
 
 # Dense symmetric eigensolves stay exact and fast up to this size; above
-# it the power and inverse iterations run at most _EIG_MAXIT steps each.
+# it Lanczos runs at most _LANCZOS_MAXIT steps per end, so its basis
+# holds at most _LANCZOS_MAXIT x m doubles (65 MB at m = 8192).
 EIG_DENSE_CAP = 4096
-_EIG_MAXIT = 20000
+_LANCZOS_MAXIT = 1000
 
 
 @dataclass
@@ -92,11 +93,8 @@ def classify(T: SymToeplitz, mu: Optional[float] = None,
                  / (2.0 * math.cos(mu * math.pi) * gamma_fn(4.0 - 2.0 * mu)))
         interior = -(2.0 ** (2.0 * mu) * h * (2.0 * mu - 1.0)
                      / (math.cos(mu * math.pi) * gamma_fn(2.0 - 2.0 * mu)))
-        mlast = T.m - 1
-        picks = {0, mlast, T.m // 2}
-        bounds = all(
-            row_sums[i] >= (edge if i in (0, mlast) else interior)
-            for i in picks)
+        bounds = bool(np.all(row_sums[[0, -1]] >= edge)
+                      and np.all(row_sums[1:-1] >= interior))
     return MatrixReport(diag_positive=diag_positive, offdiag_pattern=pattern,
                         diagonally_dominant=dominance, m_matrix=m_matrix,
                         row_sums_positive=row_sums_positive,
@@ -139,12 +137,13 @@ def spectrum(T: SymToeplitz, tol: float = 1e-6,
 
     Up to dense_cap unknowns, one dense symmetric eigensolve: both
     eigenvalues are exact to rounding and residual_tol_achieved is 0.
-    Above it, power iteration for the largest and inverse iteration (CG
-    inner solves) for the smallest eigenvalue.  Each stops once two
+    Above it, Lanczos (_lanczos_top) on T for the largest and on T^-1
+    (CG inner solves) for the smallest eigenvalue.  Each stops once two
     successive estimates differ by at most tol, relative, and
-    residual_tol_achieved is the power iteration's last such change.
-    Neither is an error bound: an iteration that converges slowly stops
-    with an estimate further from the eigenvalue than tol.
+    residual_tol_achieved is lambda_max's last such change.  A Ritz
+    value of T lies below lambda_max, and 1 / (Ritz value of T^-1)
+    above lambda_min.  Neither is an error bound: a run that converges
+    slowly stops with an estimate further from the eigenvalue than tol.
     """
     m = T.m
     if m <= dense_cap:
@@ -154,41 +153,53 @@ def spectrum(T: SymToeplitz, tol: float = 1e-6,
                               kappa=float(lmax / lmin), method="dense",
                               residual_tol_achieved=0.0)
     rng = np.random.default_rng(DEFAULT_SEED)
-    # Power iteration for lambda_max.
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    lmax = 0.0
-    achieved = np.inf
-    for _ in range(_EIG_MAXIT):
-        w = T.matvec(v)
-        lnew = float(v @ w)
-        achieved = abs(lnew - lmax) / abs(lnew)
-        lmax = lnew
-        v = w / np.linalg.norm(w)
-        if achieved <= tol:
-            break
-    else:
-        raise RuntimeError("power iteration did not converge")
-    # Inverse iteration for lambda_min.
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    lmin = lmax
-    for _ in range(_EIG_MAXIT):
+    lmax, achieved = _lanczos_top(T.matvec, rng.standard_normal(m), tol)
+
+    def solve(v):
         w, rep = cg_solve(T, v, tol=min(1e-10, tol * 1e-2), maxit=100000)
         if not rep.converged:
-            raise RuntimeError("inner CG of inverse iteration did not converge")
-        mu = float(v @ w)  # Rayleigh quotient of T^-1
-        lnew = 1.0 / mu
-        delta = abs(lnew - lmin) / abs(lnew)
-        lmin = lnew
-        v = w / np.linalg.norm(w)
-        if delta <= tol:
-            break
-    else:
-        raise RuntimeError("inverse iteration did not converge")
+            raise RuntimeError("inner CG of inverse Lanczos did not converge")
+        return w
+
+    lmin = 1.0 / _lanczos_top(solve, rng.standard_normal(m), tol)[0]
     return SpectrumReport(lambda_min=lmin, lambda_max=lmax,
                           kappa=lmax / lmin, method="iterative",
                           residual_tol_achieved=achieved)
+
+
+def _lanczos_top(apply, v, tol):
+    """Largest eigenvalue of the symmetric operator apply, by Lanczos
+    from v with full reorthogonalisation (two Gram-Schmidt passes).
+
+    Returns the largest Ritz value and its last relative move, once that
+    move is at most tol; on breakdown (the Krylov space is invariant)
+    the Ritz value is exact and the move returned is 0.
+    """
+    m = v.size
+    steps = min(_LANCZOS_MAXIT, m)
+    basis = np.empty((steps + 1, m))
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    theta = 0.0
+    for k in range(steps):
+        w = apply(basis[k])
+        alpha.append(float(basis[k] @ w))
+        for _ in range(2):
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        beta.append(float(np.linalg.norm(w)))
+        prev, theta = theta, float(scipy.linalg.eigh_tridiagonal(
+            alpha, beta[:-1], eigvals_only=True, select="i",
+            select_range=(k, k))[0])
+        move = abs(theta - prev) / abs(theta)
+        # Breakdown: the basis spans an invariant space.  A beta at
+        # rounding level counts as zero: w is then rounding left in the
+        # basis's own span, not a new direction.
+        if beta[-1] <= np.finfo(float).eps * abs(theta) or k + 1 == m:
+            return theta, 0.0
+        if move <= tol:
+            return theta, move
+        basis[k + 1] = w / beta[-1]
+    raise RuntimeError(f"Lanczos did not converge in {steps} steps")
 
 
 def kappa_ratio_table(spec: ProblemSpec, mesh_for, m_list: Sequence[int]):

@@ -224,13 +224,12 @@ def _space_moments(terms, a: float, h: float, m: int, nx: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _time_integrals(terms, times: bytes):
+def _time_integrals(terms, mesh: Mesh):
     """The integral of each time part g_i of a separable source's terms
-    over every slab (t_{n-1}, t_n) of the time grid (times, as float64
-    bytes), by 4-node Gauss-Legendre: a read-only (N x terms) array
-    whose row n-1 is slab n.  Each g_i is evaluated once, on all 4N
-    nodes."""
-    t = np.frombuffer(times)
+    over every slab (t_{n-1}, t_n) of the mesh's time grid, by 4-node
+    Gauss-Legendre: a read-only (N x terms) array whose row n-1 is slab
+    n.  Each g_i is evaluated once, on all 4N nodes."""
+    t = mesh.times
     t0, t1 = t[:-1, None], t[1:, None]
     gt, wt = _gauss_legendre(4)
     nodes = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt).ravel()
@@ -251,10 +250,10 @@ def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
     once per (a, h, m, nx).
 
     A source that states its terms, f = sum_i g_i(t) p_i(x) (see
-    problem.SeparableSource), has the spatial moments of its p_i cached
-    once per mesh and the time integrals of its g_i once per time grid
-    (each g_i evaluated once, on the 4 nodes of every slab); a step then
-    takes one (terms x m-1) product.  Any other source is a callback:
+    problem.SeparableSource), has the spatial moments of its p_i and
+    the time integrals of its g_i cached once per mesh (each g_i
+    evaluated once, on the 4 nodes of every slab); a step then takes
+    one (terms x m-1) product.  Any other source is a callback:
     each step makes 4 vectorised source(x, t) calls over all the points
     and one sparse product.
     """
@@ -266,7 +265,7 @@ def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
     terms = getattr(spec.source, "terms", None)
     if terms is not None:
         moments = _space_moments(terms, float(a), float(mesh.h), mesh.m, nx)
-        return _time_integrals(terms, mesh.time_key)[n - 1] @ moments
+        return _time_integrals(terms, mesh)[n - 1] @ moments
     t0, t1 = mesh.times[n - 1], mesh.times[n]
     gt, wt = _gauss_legendre(4)
     t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt

@@ -98,8 +98,6 @@ def build_problem(args) -> ProblemSpec:
             (args.tau_const is not None):
         raise ValueError("--tau-const goes with --policy tau-const, "
                          "and only with it")
-    if args.tau_const is not None and not 0 < args.tau_const < math.inf:
-        raise ValueError("--tau-const must be positive and finite")
     orders = FractionalOrders(tuple(args.alpha), (1.0,) * len(args.alpha),
                               args.beta, args.gamma)
     if args.example == 1:

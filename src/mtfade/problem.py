@@ -138,9 +138,14 @@ def _check_cells(m):
         raise ValueError("need at least 4 spatial cells")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Uniform spatial grid plus a (by default uniform) time grid."""
+    """Uniform spatial grid plus a (by default uniform) time grid.
+
+    A mesh is equal only to itself and hashes by identity, so tables
+    built once per mesh can key on it; it holds taus and times as
+    read-only copies, so such a table cannot go stale.
+    """
 
     m: int
     h: float
@@ -153,14 +158,14 @@ class Mesh:
             raise ValueError(f"h must be finite, got {self.h}")
         if self.h <= 0:
             raise ValueError("spatial step must be positive")
-        taus = np.asarray(self.taus, dtype=np.float64)
+        taus = np.array(self.taus, dtype=np.float64)
         if taus.size == 0:
             raise ValueError("taus must hold at least one time step")
         if not np.all(np.isfinite(taus)):
             raise ValueError("taus must be finite")
         if np.any(taus <= 0):
             raise ValueError("time steps must be positive")
-        times = np.asarray(self.times, dtype=np.float64)
+        times = np.array(self.times, dtype=np.float64)
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
         # times[-1] scales the rounding that make_mesh's linspace leaves
@@ -170,8 +175,9 @@ class Mesh:
         if times[0] != 0.0:
             raise ValueError(f"times must start at 0, got times[0] = "
                              f"{times[0]}")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "times", times)
+        for name, value in (("taus", taus), ("times", times)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_steps(self):
@@ -181,12 +187,6 @@ class Mesh:
     def uniform(self):
         t = self.taus
         return bool(np.all(np.abs(t - t[0]) <= 1e-14 * t[0]))
-
-    @functools.cached_property
-    def time_key(self) -> bytes:
-        """The time grid as bytes: the hashable key of tables built once
-        per time grid, since a Mesh holds arrays and has no hash."""
-        return self.times.tobytes()
 
     def interior_nodes(self, a=0.0):
         return a + self.h * np.arange(1, self.m)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mtfade import (FractionalOrders, TimePolicy, beta0, class_conditions,
-                    classify, kappa_ratio_table, make_example_1, make_mesh,
-                    spectrum, step_matrix, stiffness_symbol,
-                    two_level_contraction)
+from mtfade import (FractionalOrders, TimePolicy, analysis, beta0,
+                    class_conditions, classify, kappa_ratio_table,
+                    make_example_1, make_mesh, spectrum, step_matrix,
+                    stiffness_symbol, two_level_contraction)
 from mtfade.toeplitz import SymToeplitz
 
 # Root of 3^(3-2b) - 2^(5-2b) + 7 in (0, 1/2), 40-digit arithmetic.
@@ -60,6 +60,15 @@ class TestClassify:
                        h=mesh.h)
         assert rep.m_matrix
         assert rep.row_sum_bounds_hold is True
+
+    def test_row_sum_bounds_checked_on_every_row(self):
+        # moving half of t0 from lag m-2 to lag m-1 leaves rows 0, m/2
+        # and m-1 inside their bounds, but rows 1 and m-2 sum to -6.63
+        t = stiffness_symbol(0.8, 64, 1 / 64).symbol.copy()
+        t[-2] -= 0.5 * t[0]
+        t[-1] += 0.5 * t[0]
+        rep = classify(SymToeplitz(t), mu=0.8, h=1 / 64)
+        assert rep.row_sum_bounds_hold is False
 
     def test_bounds_skipped_on_coarse_mesh(self):
         rep = classify(stiffness_symbol(0.8, 4, 0.25), mu=0.8, h=0.25)
@@ -127,6 +136,37 @@ class TestSpectrum:
         iter_rep = spectrum(mats.a_full, tol=1e-8, dense_cap=100)
         assert iter_rep.method == "iterative"
         assert iter_rep.kappa == pytest.approx(dense_rep.kappa, rel=1e-4)
+
+    @pytest.mark.parametrize("m", [300, 386, 392, 512])
+    @pytest.mark.parametrize("alphas, beta, gamma", [
+        ((0.9, 0.4), 0.3, 0.8), ((0.7, 0.5), 0.15, 0.95)])
+    def test_iterative_branch_is_close_to_dense(self, m, alphas, beta,
+                                                gamma):
+        _, _, mats = model(m, alphas, beta, gamma)
+        want = spectrum(mats.a_full).kappa
+        got = spectrum(mats.a_full, tol=1e-8, dense_cap=100)
+        assert got.method == "iterative"
+        assert got.kappa == pytest.approx(want, rel=1e-5)
+
+    def test_lanczos_stops_exactly_on_an_invariant_space(self):
+        # the start spans the eigenvectors of 3 and 6; after two steps
+        # reorthogonalisation leaves only rounding in that span (1.8e-31)
+        d = np.arange(1.0, 9.0)
+        v = np.zeros(8)
+        v[[2, 5]] = 1.0
+        theta, move = analysis._lanczos_top(lambda x: d * x, v, tol=0.0)
+        assert theta == pytest.approx(6.0, rel=1e-14) and move == 0.0
+
+    def test_iterative_branch_on_a_multiple_of_the_identity(self):
+        rep = spectrum(SymToeplitz(np.r_[2.0, np.zeros(499)]), dense_cap=100)
+        assert rep.lambda_min == pytest.approx(2.0, rel=1e-14)
+        assert rep.lambda_max == pytest.approx(2.0, rel=1e-14)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_LANCZOS_MAXIT", 5)
+        _, _, mats = model(300)
+        with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
+            spectrum(mats.a_full, dense_cap=100)
 
     def test_deterministic(self):
         _, _, mats = model(300)

@@ -496,7 +496,7 @@ class TestSeparableSource:
         spec = default_spec(*SET1)
         mesh = graded_mesh(spec, 32, 40) if graded \
             else make_mesh(spec, 32, TimePolicy.TAU_EQ_H)
-        slabs = _time_integrals(spec.source.terms, mesh.time_key)
+        slabs = _time_integrals(spec.source.terms, mesh)
         assert slabs.shape == (mesh.n_steps, len(spec.source.terms))
         assert not slabs.flags.writeable
         gt, wt = roots_legendre(4)

@@ -217,6 +217,8 @@ class TestConfigAndErrors:
         ["convergence", "--sizes", "32,16"],  # not ascending
         ["solve", "--sizes", "16", "--policy", "tau-const",
          "--tau-const", "1e-300"],  # 2e299 steps: no array that long
+        *(["solve", "--sizes", "16", "--policy", "tau-const",
+           "--tau-const", tau] for tau in ("0", "nan", "inf")),
     ])
     def test_config_errors_exit_2(self, argv, capsys):
         code = main(argv)

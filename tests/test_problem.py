@@ -153,6 +153,22 @@ class TestMesh:
         assert Mesh(m=np.int32(16), h=want.h, taus=want.taus,
                     times=want.times).m == 16
 
+    def test_mesh_is_equal_only_to_itself(self):
+        spec = make_example_1(orders_default())
+        a = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        b = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
+    def test_mesh_arrays_are_read_only_copies(self):
+        taus, times = np.full(4, 0.125), np.linspace(0.0, 0.5, 5)
+        mesh = Mesh(m=8, h=0.125, taus=taus, times=times)
+        for name in ("taus", "times"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mesh, name)[0] = 1.0
+        taus[0] = times[0] = 1.0  # the caller's arrays stay writable
+        assert mesh.taus[0] == 0.125 and mesh.times[0] == 0.0
+
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
             Mesh(m=2, h=0.5, taus=np.array([0.1]), times=np.array([0.0, 0.1]))
