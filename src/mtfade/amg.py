@@ -244,6 +244,9 @@ class TwoLevelV01:
         self._lower = np.tril(self.dense)
 
     def apply(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """One cycle for A x = b from x.  b and x are vectors or (m, k)
+        blocks, cycled column by column; with b = 0 and x the identity
+        the result is the cycle's error operator E."""
         r = b - self.dense @ x
         xc = lu_solve_nopivot(self._lu, self.prolong.T @ r)
         x = x + self.prolong @ xc

@@ -369,7 +369,8 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
     states holds U^0 .. U^{n-1} as rows, and mats is the step matrix A
     for this level's time step.  au is A U^{n-1} when the caller has
     already taken it with mats.a_full.matvec (march shares it with the
-    projected start), and is otherwise taken here.  With the step's
+    projected start), and is otherwise taken here; an au that is not
+    m - 1 values raises ValueError.  With the step's
     scale s = mats.rhs_scale and the memory sum
     mem = sum_k w_k (U^k - U^{k-1}),
 
@@ -395,4 +396,7 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
         v += s * (_memory_row(spec.orders, mesh, n) @ states)
     if au is None:
         au = mats.a_full.matvec(u_prev)
+    elif np.shape(au) != u_prev.shape:
+        raise ValueError(f"au must be {mesh.m - 1} values, got shape "
+                         f"{np.shape(au)}")
     return s * source_moment(spec, mesh, n) + mats.mass.matvec(v) - au

@@ -313,10 +313,12 @@ def lu_nopivot(A: np.ndarray) -> np.ndarray:
 
 
 def lu_solve_nopivot(lu: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b from lu = lu_nopivot(A); b is a vector or an
+    (n, k) block of k right-hand sides, solved column by column."""
     n = lu.shape[0]
     y = np.asarray(b, dtype=np.float64).copy()
     for k in range(n):  # forward, unit lower triangle
-        y[k + 1:] -= lu[k + 1:, k] * y[k]
+        y[k + 1:] -= np.multiply.outer(lu[k + 1:, k], y[k])
     for k in range(n - 1, -1, -1):  # backward
         y[k] = (y[k] - lu[k, k + 1:] @ y[k + 1:]) / lu[k, k]
     return y

@@ -91,9 +91,13 @@ class ProjectedStart:
         A.matvec takes it, the product the step's right-hand side
         shares.  On the same matrix one level on, au is the window's
         one new product; on a new matrix the window is retaken as one
-        block product, whose last row stands for A U^{n-1} here."""
+        block product, whose last row stands for A U^{n-1} here.  A b
+        or au that is not one value per unknown raises ValueError."""
         n = len(states)
         x = states[max(0, n - PROJECTION_WINDOW):]
+        if b.shape != x[-1].shape or au.shape != x[-1].shape:
+            raise ValueError(f"b and au must be {x.shape[1]} values, got "
+                             f"shapes {b.shape} and {au.shape}")
         ax = self._products[PROJECTION_WINDOW - len(x):]
         if A is self._matrix and n == self._level + 1:
             self._products[:-1] = self._products[1:]

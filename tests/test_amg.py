@@ -13,7 +13,7 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     cg_solve, cg_switch, galerkin_symbol, interp_apply,
                     make_example_1, make_mesh, restrict_apply, setup,
                     step_matrix, two_level_solve, vcycle)
-from mtfade.amg import AdaptiveSolver, coarse_solve
+from mtfade.amg import AdaptiveSolver, TwoLevelV01, coarse_solve
 from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
 from mtfade.solvers import (COARSEST_MAX, _stride2_sweep, lu_nopivot,
@@ -521,6 +521,16 @@ class TestTwoLevelBaseline:
         _, _, mats = model_matrix(m=64)
         x, rep = two_level_solve(mats.a_full, np.zeros(mats.a_full.m))
         assert rep.iterations == 0 and np.all(x == 0.0)
+
+    def test_block_apply_matches_vector_applies(self):
+        _, _, mats = model_matrix(m=64)
+        cyc = TwoLevelV01(mats.a_full)
+        rng = np.random.default_rng(20)
+        B, X = rng.standard_normal((2, mats.a_full.m, 4))
+        got = cyc.apply(B, X)
+        want = np.column_stack([cyc.apply(b, x) for b, x in zip(B.T, X.T)])
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
 
 
 def solve_with(solver, A, b, tol=1e-12, x0=None):

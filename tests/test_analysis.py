@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mtfade import (FractionalOrders, TimePolicy, analysis, beta0,
                     class_conditions, classify, kappa_ratio_table,
                     make_example_1, make_mesh, spectrum, step_matrix,
                     stiffness_symbol, two_level_contraction)
+from mtfade.camg_dense import direct_interp
 from mtfade.toeplitz import SymToeplitz
 
 # Root of 3^(3-2b) - 2^(5-2b) + 7 in (0, 1/2), 40-digit arithmetic.
@@ -203,3 +205,20 @@ class TestTwoLevelContraction:
             _, _, mats = model(256, alphas, beta, gamma)
             rho = two_level_contraction(mats.a_full)
             assert 0.0 < rho < cap
+
+    @pytest.mark.parametrize("m", [64, 256])
+    @pytest.mark.parametrize("alphas,beta,gamma", [((0.9, 0.4), 0.3, 0.8),
+                                                  ((0.7, 0.5), 0.15, 0.95)])
+    def test_is_the_spectral_radius_of_the_error_operator(self, m, alphas,
+                                                          beta, gamma):
+        # E = (I - L^-1 D)(I - P A_c^-1 P^T D), built densely here
+        _, _, mats = model(m, alphas, beta, gamma)
+        D = mats.a_full.to_dense()
+        P = direct_interp(D).toarray()
+        eye = np.eye(len(D))
+        coarse = eye - P @ scipy.linalg.solve(P.T @ D @ P, P.T @ D)
+        smooth = eye - scipy.linalg.solve_triangular(np.tril(D), D,
+                                                     lower=True)
+        want = np.max(np.abs(scipy.linalg.eigvals(smooth @ coarse)))
+        assert two_level_contraction(mats.a_full) \
+            == pytest.approx(want, rel=1e-10)

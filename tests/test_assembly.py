@@ -672,6 +672,15 @@ class TestRhsVector:
             with pytest.raises(ValueError, match="states"):
                 rhs_vector(spec, mesh, bad, mats)
 
+    def test_rejects_an_au_of_the_wrong_shape(self):
+        spec = default_spec()
+        mesh = make_mesh(spec, 16, TimePolicy.TAU_EQ_H)
+        mats = step_matrix(spec, mesh, 1)
+        u0 = initial_state(spec, mesh)
+        for bad in (0.0, u0[:5], np.append(u0, 0.0), u0[None]):
+            with pytest.raises(ValueError, match="au"):
+                rhs_vector(spec, mesh, u0[None], mats, bad)
+
     def test_first_step_matches_direct_assembly(self):
         from scipy.special import gamma as gamma_fn
         spec = default_spec()

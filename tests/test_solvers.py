@@ -388,6 +388,15 @@ class TestLu:
             b = np.random.default_rng(seed).standard_normal(9)
             assert np.allclose(A @ lu_solve_nopivot(lu, b), b, rtol=1e-10)
 
+    def test_block_matches_column_solves(self):
+        A = spd_toeplitz(11, seed=18).to_dense()
+        lu = lu_nopivot(A)
+        B = np.random.default_rng(19).standard_normal((11, 4))
+        got = lu_solve_nopivot(lu, B)
+        want = np.column_stack([lu_solve_nopivot(lu, b) for b in B.T])
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
+
     def test_zero_pivot_raises(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular, pivot cancels
         with pytest.raises(ZeroDivisionError):

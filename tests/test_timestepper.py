@@ -218,6 +218,15 @@ class TestProjectedStart:
         assert self.a_norm(want - x0) \
             <= 1e-3 * self.a_norm(want - states[n - 1])
 
+    @pytest.mark.parametrize("bad", ["b", "au"])
+    def test_rejects_b_or_au_of_the_wrong_shape(self, bad):
+        A = self.A
+        states = smooth_history(self.x, 0.02 * np.arange(4))
+        args = {"b": A.matvec(states[-1] + self.x), "au": A.matvec(states[-1])}
+        args[bad] = args[bad][:5]
+        with pytest.raises(ValueError, match=bad):
+            ProjectedStart(A.m).start(A, args["b"], states, args["au"])
+
     def test_products_follow_the_matrix(self):
         # one new product per level with the same matrix; all of them
         # again when the matrix changes
