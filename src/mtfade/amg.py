@@ -16,8 +16,11 @@ the FFT.
 A cycle makes only the products it needs (vcycle counts them): the
 iteration loop (solvers.iterate) hands the true residual it has just
 checked to the cycle, every coarse level starts from a zero guess whose
-residual is its right-hand side, and the pre-sweep hands back the
-residual after its last pass for restriction.  At the sizes of a dense
+residual is its right-hand side, the pre-sweep hands back the residual
+after its last pass for restriction, and the finest post-sweep's
+residual is the loop's next check.  So an iteration makes no product
+through the full circulant: on a level without a dense copy every
+transform has the half pad.  At the sizes of a dense
 level a cycle's fixed cost per call rivals its products, so nothing is
 re-derived per call either: the sweeps read their rows from the forms
 cached on the matrices, a coarse level's zero guess is a fresh np.zeros,
@@ -32,6 +35,7 @@ to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -123,9 +127,10 @@ def setup(a0: SymToeplitz) -> AmgHierarchy:
     """Coarsen until at most COARSEST_MAX unknowns remain, then factor the
     coarsest level (solvers.coarsest_cholesky, which raises LinAlgError
     when it is not positive definite).  A hierarchy of one level is a
-    direct solve."""
-    if a0.symbol[0] <= 0:
-        raise ValueError("matrix diagonal must be positive")
+    direct solve.  A diagonal that is not positive and finite raises
+    ValueError."""
+    if not 0 < a0.symbol.item(0) < math.inf:
+        raise ValueError("matrix diagonal must be positive and finite")
     matrices = [a0]
     while matrices[-1].m > COARSEST_MAX:
         matrices.append(SymToeplitz(galerkin_symbol(matrices[-1].symbol)))
@@ -138,39 +143,45 @@ def coarse_solve(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
 
 
 def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: np.ndarray,
-           r: Optional[np.ndarray]) -> np.ndarray:
-    """The V(1,1)-cycle from level j down; x is never written, only the
-    sweep's copy."""
-    if j == len(h.matrices) - 1:
-        return coarse_solve(h, b)
+           r: Optional[np.ndarray]):
+    """The V(1,1)-cycle from level j down, returning (x, residual) as
+    cf_jacobi_sweep does; x is never written, only the sweep's copy."""
     A = h.matrices[j]
+    if j == len(h.matrices) - 1:
+        x = coarse_solve(h, b)
+        return x, lambda: b - A.matvec(x)
     x, residual = cf_jacobi_sweep(A, x, b, r)
     coarse = restrict_apply(residual(), A.m)
     # a zero guess, whose residual is its right-hand side
-    x += interp_apply(_cycle(h, j + 1, coarse, np.zeros(A.m // 2), coarse),
-                      A.m)
-    return cf_jacobi_sweep(A, x, b)[0]
+    x += interp_apply(
+        _cycle(h, j + 1, coarse, np.zeros(A.m // 2), coarse)[0], A.m)
+    return cf_jacobi_sweep(A, x, b)
 
 
 def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
-           r: Optional[np.ndarray] = None) -> np.ndarray:
+           r: Optional[np.ndarray] = None):
     """One V(1,1)-cycle: CF-Jacobi pre-smooth, coarse correction, post-smooth.
+
+    Returns (x, residual): the new iterate, and a function of no
+    arguments that returns b - A x for it, as cf_jacobi_sweep's
+    post-sweep forms it, to be called (if at all) before x is written.
 
     The levels matrices[:-1] are smoothed; the coarsest is solved from
     its Cholesky factor from set-up, so a hierarchy of one level is a
-    direct solve.  r, when given, is the finest-level residual b - A x
-    the caller has already computed; the first smoothing pass uses it
-    instead of a product.  Coarse levels start from a zero guess, whose
-    residual is the restricted right-hand side itself.  Each smoothed
-    level makes two sweeps and restricts the residual that the pre-sweep
-    returns, so the sweeps make all of a cycle's products, as counted in
+    direct solve, whose residual() is one product A.matvec.  r, when
+    given, is the finest-level residual b - A x the caller has already
+    computed; the first smoothing pass uses it instead of a product.
+    Coarse levels start from a zero guess, whose residual is the
+    restricted right-hand side itself.  Each smoothed level makes two
+    sweeps and restricts the residual that the pre-sweep returns, so the
+    sweeps make all of a cycle's products, as counted in
     cf_jacobi_sweep: 4 on a level with a dense copy, and on a level
     without one 15 half-pad transforms on the finest level and 14 on a
     coarse one, whose zero guess has no odd half to transform (six full
     products would take 12 of twice the length).  Without r the finest
-    level takes one product more, or 17 transforms for a nonzero x.  An
-    amg_solve iteration adds its check, one product: 4 L + 1 products on
-    L smoothed levels with a dense copy.  b, x and r are not written.
+    level takes one product more, or 17 transforms for a nonzero x.
+    residual() adds one product on a finest level with a dense copy, or
+    3 half-pad transforms on one without.  b, x and r are not written.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (h.matrices[0].m,):
@@ -183,12 +194,18 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
     """Iterate V(1,1)-cycles until the relative residual meets tol.
 
     Each step of iterate() is one cycle, handed the true residual
-    b - A x that iterate() has just checked; vcycle gives what an
-    iteration costs.
+    b - A x that iterate() has just checked, and it hands back the
+    cycle's residual() as the next check.  So an iteration costs what
+    vcycle counts from a given r plus residual(): 4 L + 1 products on L
+    smoothed levels with a dense copy, and 18 transforms of the half pad
+    on a finest level without one.  The first check is one product, or
+    none from a zero start (x0 None).
     """
-    return iterate(h.matrices[0], b,
-                   lambda b, x, r, budget: (vcycle(h, b, x, r), 1),
-                   tol, maxit, x0, "amg")
+    def step(b, x, r, budget):
+        x, residual = vcycle(h, b, x, r)
+        return x, 1, residual()
+
+    return iterate(h.matrices[0], b, step, tol, maxit, x0, "amg")
 
 
 def cg_switch(spec: ProblemSpec, tau: float, h: float) -> bool:
@@ -258,5 +275,5 @@ def two_level_solve(A: SymToeplitz, b: np.ndarray, tol: float = 1e-8):
     """Iterate the two-level V(0,1)-cycle to a relative residual, at most
     1000 cycles."""
     cyc = TwoLevelV01(A)
-    return iterate(A, b, lambda b, x, r, budget: (cyc.apply(b, x), 1),
+    return iterate(A, b, lambda b, x, r, budget: (cyc.apply(b, x), 1, None),
                    tol, 1000, None, "two-level")

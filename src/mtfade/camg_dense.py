@@ -77,5 +77,6 @@ class DenseAmg:
     def solve(self, b: np.ndarray, tol: float = 1e-12, maxit: int = 1000):
         """Iterate V(1,1)-cycles (one per step of iterate()) to tol."""
         return iterate(self.matrices[0], b,
-                       lambda b, x, r, budget: (self._vcycle(0, b, x), 1),
+                       lambda b, x, r, budget: (self._vcycle(0, b, x), 1,
+                                                None),
                        tol, maxit, None, "camg-dense")

@@ -2,11 +2,17 @@
 multigrid's coarsest-level Cholesky solve, and the pivot-free dense
 solve.
 
-The smoother and the check run on every multigrid cycle, and on the
-small levels their cost per call rivals their products, so a sweep
-takes the rows it relaxes from the matrix in whichever form the matrix
-keeps (SymToeplitz.dense_rows, stride2_rows) and looks nothing else up,
-and iterate() binds its check's product once per solve."""
+The smoother runs on every multigrid cycle, and on the small levels its
+cost per call rivals its products, so a sweep takes the rows it relaxes
+from the matrix in whichever form the matrix keeps
+(SymToeplitz.dense_rows, stride2_rows) and looks nothing else up.  A
+sweep also offers b - A x for the x it returns, formed on request from
+the same form, and a multigrid iteration hands its finest post-sweep's
+to iterate() as the next check: one product with a dense copy, or three
+transforms of the half pad, never one through the full circulant.  For
+a step that hands back no residual (CG, the dense oracle, the two-level
+baseline) iterate() takes the check as one product, bound once per
+solve."""
 
 from __future__ import annotations
 
@@ -75,15 +81,15 @@ def _exponent(v: np.ndarray) -> int:
 
 def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
             x0: np.ndarray | None, branch: str = ""):
-    """Drive step(b, x, r, budget) -> (x, iterations) until tol is met.
+    """Drive step(b, x, r, budget) -> (x, iterations, r) until tol is met.
 
     This is the one stopping rule of every solver.  b and x0 are first
     scaled by 2^-e, where e is the frexp exponent of max|b|; the scaling
     is exact in the normal range, so iterates are unchanged, while ||b||
     and ||r|| can no longer underflow to 0 for a tiny b; norm2 keeps
-    ||r|| finite when a huge x0 makes r.r overflow.  Before each
-    step the true residual r = b - A @ x of the scaled system is
-    computed, and the solve ends
+    ||r|| finite when a huge x0 makes r.r overflow.  Before each step
+    the true residual r = b - A @ x of the scaled system is checked, and
+    the solve ends
 
     * "converged" when ||r|| / ||b|| <= tol,
     * "nonfinite" when that relative residual is not finite,
@@ -91,11 +97,15 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
     * "breakdown" when a step ran 0 iterations;
 
     otherwise the step runs at most budget = maxit - (iterations so far)
-    iterations from the scaled b, x and r.  x is scaled back on return.
-    An all-zero b is solved by x = 0 at once.  The report, labelled with
-    branch, carries the true relative residual, so a claim of
-    convergence is never based on anything else, and no finite tol > 0
-    raises.
+    iterations from the scaled b, x and r, none of which it may write.
+    The r it returns is b - A x for the x it returns, formed from b and
+    A (a multigrid cycle's finest post-sweep residual, not a
+    recurrence), or None, and then the check takes one product.  A zero
+    start (x0 None) is checked on r = b, with no product.  x is scaled
+    back on return.  An all-zero b is solved by x = 0 at once.  The
+    report, labelled with branch, carries the true relative residual,
+    so a claim of convergence is never based on anything else, and no
+    finite tol > 0 raises.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -105,14 +115,17 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
     e = _exponent(b)
     b = np.ldexp(b, -e)
     bnorm = norm2(b)
-    x = np.zeros_like(b) if x0 is None else np.ldexp(
-        np.asarray(x0, dtype=np.float64), -e)
+    if x0 is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x, r = np.ldexp(np.asarray(x0, dtype=np.float64), -e), None
     # bound once per call, as cg_solve binds T.matvec; a dense array
     # has no matvec
     product = A.matvec if isinstance(A, SymToeplitz) else A.__matmul__
     it = 0
     while True:
-        r = b - product(x)
+        if r is None:
+            r = b - product(x)
         relres = norm2(r) / bnorm
         if relres <= tol:
             reason = "converged"
@@ -121,7 +134,7 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
         elif it >= maxit:
             reason = "maxit"
         else:
-            x, k = step(b, x, r, maxit - it)
+            x, k, r = step(b, x, r, maxit - it)
             if k:
                 it += k
                 continue
@@ -139,8 +152,9 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     """One CF-Jacobi sweep: Jacobi relaxation (weight 1) of the F-points,
     then the C-points, then the F-points again.
 
-    A is a SymToeplitz, whose diagonal is the constant t0 > 0, or a dense
-    array with a positive diagonal.  F-points are the 0-based even
+    A is a SymToeplitz, whose diagonal is the constant t0, or a dense
+    array; a diagonal entry that is not positive and finite (nan, inf,
+    0 or less) raises ValueError.  F-points are the 0-based even
     positions, C-points the odd ones; each pass uses the freshly updated
     residual.  This ordering damps the oscillatory error components far
     better than a simultaneous sweep on these matrices, whose scaled
@@ -148,8 +162,10 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
 
     Returns (x, residual): the relaxed copy of x, and a function of no
     arguments that returns b - A x for that x, to be called (if at all)
-    before x is written.  The multigrid restricts the pre-sweep's
-    residual and drops the post-sweep's, which then costs nothing.
+    before x is written, so a caller that does not need it pays nothing.
+    The multigrid restricts the pre-sweep's residual, hands the finest
+    post-sweep's to iterate() as its check, and drops the coarse
+    post-sweeps'.
 
     The first pass takes one residual, or none when the caller passes
     r = b - A x (for a zero x, r = b).  The other two compute only the
@@ -162,14 +178,15 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     the half it changed, and residual() takes one
     forward and two inverse transforms.  An all-zero half (a zero guess)
     is not transformed.  So a sweep from a given r takes 5 transforms of
-    length P >= m, or 4 from a zero guess, and one without r takes 7; a
-    full product takes two transforms of length 2P.
+    length P >= m, or 4 from a zero guess, and one without r takes 7;
+    residual() takes 3, where a full product takes two transforms of
+    length 2P.
     """
     x = np.array(x, dtype=np.float64)
     if type(A) is SymToeplitz:
         t0 = A.symbol.item(0)
-        if t0 <= 0:
-            raise ValueError("Jacobi needs a positive diagonal")
+        if not 0 < t0 < math.inf:
+            raise ValueError("Jacobi needs a positive, finite diagonal")
         rows = A.dense_rows()
         if rows is None:
             return _stride2_sweep(A, x, b, r, 1.0 / t0)
@@ -177,8 +194,8 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
         wf = wc = 1.0 / t0
     else:  # a dense array: each row relaxed by its own diagonal entry
         d = A.diagonal()
-        if (d <= 0).any():
-            raise ValueError("Jacobi needs a positive diagonal")
+        if not ((0 < d) & (d < math.inf)).all():
+            raise ValueError("Jacobi needs a positive, finite diagonal")
         w = 1.0 / d
         dense, even, odd = A, A[0::2], A[1::2]
         wf, wc = w[0::2], w[1::2]
@@ -241,7 +258,8 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
 
     A call that converges in k iterations of one restart makes k + 2
     products with T: one per iteration and iterate()'s check before and
-    after.  Everything else is fixed: T.matvec is looked up once per
+    after, or k + 1 from a zero start, whose first check takes none.
+    Everything else is fixed: T.matvec is looked up once per
     call, the inner products and norms are BLAS ddot calls, and the
     first iteration starts from d = 0 and p = r without forming either.
     """
@@ -269,7 +287,7 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
         e = _exponent(r)
         r = np.ldexp(r, -e)
         d, k = recurrence(r, ddot(r, r), budget, math.ldexp(norm2(b), -e))
-        return (x + np.ldexp(d, e) if k else x), k
+        return (x + np.ldexp(d, e) if k else x), k, None
 
     return iterate(T, b, step, tol, maxit, x0, "cg")
 

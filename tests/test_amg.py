@@ -17,7 +17,7 @@ from mtfade.amg import AdaptiveSolver, TwoLevelV01, coarse_solve
 from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
 from mtfade.solvers import (COARSEST_MAX, _stride2_sweep, lu_nopivot,
-                            lu_solve_nopivot)
+                            lu_solve_nopivot, norm2)
 from mtfade.toeplitz import DENSE_MATVEC_CUTOFF
 
 
@@ -148,6 +148,22 @@ def reference_amg_solve(h, b, x, tol=1e-12, maxit=1000):
             return x, it
         x = reference_vcycle(h, b, x)
     raise AssertionError("reference solve did not converge")
+
+
+def checked_amg_solve(h, b, x0=None, tol=1e-12, maxit=1000):
+    """amg_solve as it was before the cycle handed back its residual:
+    vcycle iterated with a full A.matvec check before every cycle.
+    Returns x, the iteration count and the last check's relres."""
+    A = h.matrices[0]
+    x = np.zeros(A.m) if x0 is None else x0
+    bnorm = norm2(b)
+    for it in range(maxit + 1):
+        r = b - A.matvec(x)
+        relres = norm2(r) / bnorm
+        if relres <= tol:
+            return x, it, relres
+        x = vcycle(h, b, x, r)[0]
+    raise AssertionError("checked solve did not converge")
 
 
 class TestTransfers:
@@ -306,6 +322,13 @@ class TestSetup:
         with pytest.raises(ValueError):
             setup(SymToeplitz(np.array([-1.0, 0.5, 0.1, 0.0])))
 
+    @pytest.mark.parametrize("t0", [0.0, np.nan, np.inf])
+    def test_rejects_a_zero_or_nonfinite_diagonal(self, t0):
+        symbol = first_step_system(64)[0].symbol.copy()
+        symbol[0] = t0
+        with pytest.raises(ValueError, match="positive and finite"):
+            setup(SymToeplitz(symbol))
+
     def test_rejects_singular_coarsest_matrix(self):
         with pytest.raises(np.linalg.LinAlgError):
             setup(SymToeplitz(np.ones(4)))
@@ -343,7 +366,7 @@ class TestVcycleSolve:
         e = rng.standard_normal(A.m)
         b = np.zeros(A.m)
         before = np.linalg.norm(e)
-        e = vcycle(h, b, e)
+        e = vcycle(h, b, e)[0]
         assert np.linalg.norm(e) < 0.2 * before
 
     # 16 and 256 keep every level below the dense matvec cutoff; at 1024
@@ -357,7 +380,7 @@ class TestVcycleSolve:
         b = rng.standard_normal(A.m)
         want = reference_vcycle(h, b, x)
         for r in (None, b - A.matvec(x)):
-            got = vcycle(h, b, x, r)
+            got = vcycle(h, b, x, r)[0]
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         x_ref, it_ref = reference_amg_solve(h, b, x)
         got, rep = amg_solve(h, b, tol=1e-12, x0=x)
@@ -373,24 +396,73 @@ class TestVcycleSolve:
         x0 = np.random.default_rng(m).standard_normal(A.m)
         for x, r in ((x0, b - A.matvec(x0)), (x0, None), (np.zeros(A.m), b),
                      (np.zeros(A.m), None)):
-            assert np.array_equal(vcycle(h, b, x, r),
+            assert np.array_equal(vcycle(h, b, x, r)[0],
                                   per_call_cycle(h, b, x, r))
 
+    # 256: every level has a dense copy, whose post-sweep residual is the
+    # check's product itself; at 1024 and 4096 the finest levels sweep on
+    # the stride-2 spectra, whose residual rounds differently from the
+    # full circulant's product.
+    @pytest.mark.parametrize("m", [256, 1024, 4096])
+    def test_matches_the_loop_with_a_full_product_check(self, m):
+        A, b = first_step_system(m)
+        h = setup(A)
+        warm = np.random.default_rng(m).standard_normal(A.m)
+        for x0 in (None, warm):
+            want, it, relres = checked_amg_solve(h, b, x0)
+            got, rep = amg_solve(h, b, tol=1e-12, x0=x0)
+            assert rep.converged and rep.iterations == it
+            if m <= DENSE_MATVEC_CUTOFF:
+                assert np.array_equal(got, want)
+                assert rep.final_relres == relres
+            else:
+                assert (np.linalg.norm(got - want)
+                        <= 1e-13 * np.linalg.norm(want))
+            # Two roundings of b - A x differ by at most the product's,
+            # eps ||A|| ||x|| / ||b||: 1.2e-13 at M = 1024 and 3.1e-13 at
+            # 4096 on this b, near the rounding floor, where they were
+            # measured 3e-15 and 2.6e-14 apart.
+            floor = (np.finfo(np.float64).eps * 2 * np.abs(A.symbol).sum()
+                     * norm2(got) / norm2(b))
+            true = norm2(b - A.matvec(got)) / norm2(b)
+            assert abs(rep.final_relres - true) <= floor
+
+    @pytest.mark.parametrize("m", [1024, 4096])
+    def test_reports_the_relres_of_a_full_product(self, m):
+        # b = A u for a perturbed smooth u, as the benchmark's large
+        # solves take it: the report's relres, from the finest
+        # post-sweep's residual on the half pad, is the full product's.
+        A, _ = first_step_system(m)
+        h = setup(A)
+        rng = np.random.default_rng(m)
+        u = np.sin(np.pi * np.arange(1, A.m + 1) / (A.m + 1))
+        b = A.matvec(u * (1.0 + 0.1 * rng.standard_normal(A.m)))
+        for x0 in (None, rng.standard_normal(A.m)):
+            x, rep = amg_solve(h, b, tol=1e-12, x0=x0)
+            assert rep.converged
+            true = norm2(b - A.matvec(x)) / norm2(b)
+            assert abs(rep.final_relres - true) <= 1e-15
+
     def test_product_count(self, monkeypatch):
-        # SymToeplitz.matvec calls in one iteration: the check alone.  On
-        # a smoothed level with a dense copy (m <= DENSE_MATVEC_CUTOFF)
-        # the sweeps' passes compute rows of the cached dense copy and the
-        # pre-sweep's residual, which the cycle restricts, is one product
-        # with that copy, and the coarsest solve is one dpotrs call, so
-        # none of them calls matvec.  An FFT level makes no matvec at all:
-        # its sweeps work on the stride-2 spectra, 15 transforms of the
-        # half pad P per cycle on the finest level (8 for the pre-sweep
-        # from the checked residual and its residual, 7 for the
-        # post-sweep) and 14 on a coarse level (the zero guess's odd half
-        # is not transformed).  The first cycle of a solve from zero has a
-        # zero guess on the finest level too.  Each smoothed level is
-        # swept twice.  At M = 256 every level has a dense copy; at 1024
-        # the two finest use the FFT.
+        # SymToeplitz.matvec calls in a solve: none from a zero start,
+        # whose first check is b itself, and one, the first check, from a
+        # warm start.  Every later check is the residual of the cycle's
+        # finest post-sweep.  On a smoothed level with a dense copy
+        # (m <= DENSE_MATVEC_CUTOFF) the sweeps' passes compute rows of
+        # the cached dense copy, and the pre-sweep's residual, which the
+        # cycle restricts, and the finest post-sweep's, the check, are
+        # one product each with that copy; the coarsest solve is one
+        # dpotrs call; so none of them calls matvec.  An FFT level makes
+        # no matvec at all: its sweeps work on the stride-2 spectra, 15
+        # transforms of the half pad P per cycle on the finest level (8
+        # for the pre-sweep from the checked residual and its residual, 7
+        # for the post-sweep) and 14 on a coarse level (the zero guess's
+        # odd half is not transformed), and the check adds 3 on the
+        # finest.  The first cycle of a solve from zero has a zero guess
+        # on the finest level too.  Each smoothed level is swept twice.
+        # No transform has the full pad 2P but the warm start's first
+        # check.  At M = 256 every level has a dense copy; at 1024 the
+        # two finest use the FFT.
         systems = [first_step_system(m) for m in (256, 1024)]
         hierarchies = [setup(A) for A, _ in systems]
         calls, swept, transforms = [], [], []
@@ -424,29 +496,34 @@ class TestVcycleSolve:
                     if T.m > DENSE_MATVEC_CUTOFF]
             for T in h.matrices[:len(pads)]:
                 T.stride2_rows()
-            calls.clear()
-            swept.clear()
-            transforms.clear()
-            _, rep = amg_solve(h, b, tol=1e-12)
-            it = rep.iterations
-            assert rep.converged and it > 0
-            assert len(calls) == it + 1
-            assert set(calls) == {A.m}
-            assert sorted(swept) == sorted(it * 2 * smoothed)
-            want = {p: 14 * it for p in pads}
-            if pads:
-                want[pads[0]] += it - 1
-                want[2 * pads[0]] = 2 * (it + 1)  # the checks
-            assert Counter(transforms) == want
+            for x0, checks in ((None, 0), (b, 1)):
+                calls.clear()
+                swept.clear()
+                transforms.clear()
+                _, rep = amg_solve(h, b, tol=1e-12, x0=x0)
+                it = rep.iterations
+                assert rep.converged and it > 0
+                assert calls == checks * [A.m]
+                assert sorted(swept) == sorted(it * 2 * smoothed)
+                want = {p: 14 * it for p in pads}
+                if pads:
+                    want[pads[0]] += 4 * it - (x0 is None)
+                    if checks:
+                        want[2 * pads[0]] = 2
+                assert Counter(transforms) == want
             # No residual handed in: the finest pre-sweep computes its
-            # F-rows first, from both halves' spectra unless x is zero.
+            # F-rows first, from both halves' spectra unless x is zero;
+            # residual() adds 3 transforms there, or one dense product.
             for x, finest in ((np.zeros(A.m), 15), (b, 17)):
                 calls.clear()
                 transforms.clear()
-                vcycle(h, b, x)
-                assert not calls
+                _, residual = vcycle(h, b, x)
                 if pads:
                     assert Counter(transforms)[pads[0]] == finest
+                residual()
+                assert not calls
+                if pads:
+                    assert Counter(transforms)[pads[0]] == finest + 3
 
     # 8: the cycle is the one-level direct solve; 256: every level has a
     # dense copy; 1024: the finest level uses the FFT product.
@@ -457,8 +534,8 @@ class TestVcycleSolve:
         x = np.random.default_rng(m).standard_normal(A.m)
         r = b - A.matvec(x)
         before = [v.copy() for v in (b, x, r)]
-        vcycle(h, b, x, r)
-        vcycle(h, b, x)
+        for given in (r, None):
+            vcycle(h, b, x, given)[1]()
         for v, w in zip((b, x, r), before):
             assert np.array_equal(v, w)
 

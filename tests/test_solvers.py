@@ -132,6 +132,21 @@ class TestCfJacobi:
             with pytest.raises(ValueError):
                 cf_jacobi_sweep(A, np.zeros(4), np.ones(4))
 
+    @pytest.mark.parametrize("t0", [0.0, math.nan, math.inf])
+    def test_rejects_a_zero_or_nonfinite_diagonal(self, t0):
+        # a Toeplitz matrix with a dense copy, one on the stride-2
+        # spectra, and dense arrays whose first or last diagonal entry
+        # alone is bad
+        t = spd_toeplitz(DENSE_MATVEC_CUTOFF + 1, seed=8).symbol.copy()
+        t[0] = t0
+        dense = spd_toeplitz(5, seed=9).to_dense()
+        first, last = dense.copy(), dense.copy()
+        first[0, 0] = last[-1, -1] = t0
+        for A in (SymToeplitz(t[:4]), SymToeplitz(t), first, last):
+            n = A.shape[0]
+            with pytest.raises(ValueError, match="finite diagonal"):
+                cf_jacobi_sweep(A, np.zeros(n), np.ones(n))
+
     def test_input_left_untouched(self):
         T = spd_toeplitz(10, seed=7)
         x = np.ones(10)
