@@ -162,7 +162,9 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
 
     Returns (x, residual): the relaxed copy of x, and a function of no
     arguments that returns b - A x for that x, to be called (if at all)
-    before x is written, so a caller that does not need it pays nothing.
+    before x is written and before the next sweep on the same matrix
+    (an FFT sweep keeps its spectra in the matrix's work arrays), so a
+    caller that does not need it pays nothing.
     The multigrid restricts the pre-sweep's residual, hands the finest
     post-sweep's to iterate() as its check, and drops the coarse
     post-sweeps'.
@@ -173,14 +175,14 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     (SymToeplitz.dense_rows, or A itself, each row then weighted by its
     own diagonal entry) those are half a product each, and residual() is
     one product b - D @ x.  Otherwise (SymToeplitz.stride2_rows) the
-    sweep keeps the spectra of x's even and odd halves, each pass makes
-    one inverse transform for the rows it relaxes and re-transforms only
-    the half it changed, and residual() takes one
-    forward and two inverse transforms.  An all-zero half (a zero guess)
-    is not transformed.  So a sweep from a given r takes 5 transforms of
-    length P >= m, or 4 from a zero guess, and one without r takes 7;
-    residual() takes 3, where a full product takes two transforms of
-    length 2P.
+    sweep keeps the spectra of x's even and odd halves in the matrix's
+    two spectrum slots, each pass makes one inverse transform for the
+    rows it relaxes and re-transforms only the half it changed, and
+    residual() takes one forward and two inverse transforms.  An
+    all-zero half (a zero guess) is not transformed.  So a sweep from a
+    given r takes 5 transforms of length P >= m, or 4 from a zero guess,
+    and one without r takes 7; residual() takes 3, where a full product
+    takes two transforms of length 2P.
     """
     x = np.array(x, dtype=np.float64)
     if type(A) is SymToeplitz:
@@ -214,24 +216,22 @@ def _stride2_sweep(T: SymToeplitz, x: np.ndarray, b: np.ndarray,
     """cf_jacobi_sweep on a SymToeplitz without a dense copy, on the
     spectra of x's F (even) and C (odd) halves; x is the sweep's own
     copy."""
-    # Asked for first, so that a fresh matrix builds its spectra before
-    # the passes allocate their temporaries; built after the first pass,
-    # they made perfbench's solve-large about 2% slower.
     transform, rows = T.stride2_rows()
     F, C = slice(0, None, 2), slice(1, None, 2)
 
-    def spectrum(v):
-        return transform(v) if v.any() else 0.0
+    def spectrum(parity, v):
+        return transform(parity, v) if v.any() else 0.0
 
-    xc = spectrum(x[C])
-    x[F] += (b[F] - rows(0, spectrum(x[F]), xc) if r is None else r[F]) * w
-    xf = transform(x[F])
+    xc = spectrum(1, x[C])
+    x[F] += (b[F] - rows(0, spectrum(0, x[F]), xc) if r is None
+             else r[F]) * w
+    xf = transform(0, x[F])
     x[C] += (b[C] - rows(1, xf, xc)) * w
-    xc = transform(x[C])
+    xc = transform(1, x[C])
     x[F] += (b[F] - rows(0, xf, xc)) * w
 
     def residual():
-        xf = transform(x[F])
+        xf = transform(0, x[F])
         out = np.empty_like(x)
         out[F] = b[F] - rows(0, xf, xc)
         out[C] = b[C] - rows(1, xf, xc)

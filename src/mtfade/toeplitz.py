@@ -6,9 +6,10 @@ multiplies.  Up to DENSE_MATVEC_CUTOFF a product reads a dense copy D,
 one strided view of the symbol copied once.  Above it a product goes
 through a circulant embedding of size >= 2m, a power of two, whose
 spectrum is computed once: O(m log m) per product.  Each form is built
-on first use, held by the instance alone, and read-only: a SymToeplitz
-may be shared (the step matrices share their mass matrix per mesh), so
-no caller may write into it.
+on first use and held by the instance alone.  The symbol, the dense copy
+and the spectra are read-only: a SymToeplitz may be shared (the step
+matrices share their mass matrix per mesh), so no caller may write into
+them.
 
 The multigrid smoother relaxes the even positions E and the odd ones O
 in turn, so it asks for the rows of T x at E or at O rather than full
@@ -21,7 +22,12 @@ pad of a full product, with two spectra: S_EE, which is real and also
 acts as S_OO, and S_EO, whose conjugate is S_OE (Chan & Ng, "Conjugate
 gradient methods for Toeplitz systems", SIAM Rev. 38, 1996).  A caller
 transforms each half of x once and reads rows from the transforms
-(stride2_rows), so a changed half costs one transform.
+(stride2_rows), so a changed half costs one transform.  Those transforms
+write into work arrays the stride-2 form keeps, a spectrum slot per
+parity and one output of the inverse transform, so at a large pad no
+call allocates pad-sized arrays and faults their pages in.  So a
+matrix's stride-2 form serves one sweep at a time, and a result is
+valid until the next transform of its kind (stride2_rows).
 """
 
 from __future__ import annotations
@@ -51,11 +57,11 @@ class SymToeplitz:
         self.symbol = symbol
         self.m = symbol.size
         self.shape = (self.m, self.m)
-        # One write-once cache per product form: (D, D[0::2], D[1::2]),
-        # the full circulant's (pad, spectrum) and the stride-2 one's
-        # (P, S_EE, S_EO).  Concurrent readers at worst duplicate work,
-        # and none refers back to the instance, so a dropped matrix dies
-        # by reference counting alone.
+        # One cache per product form: (D, D[0::2], D[1::2]), the full
+        # circulant's (pad, spectrum) and the stride-2 one's (P, S_EE,
+        # S_EO, spectrum, rows), whose two functions write into the
+        # form's work arrays.  None refers back to the instance, so a
+        # dropped matrix dies by reference counting alone.
         self._dense = None
         self._circulant = None
         self._half = None
@@ -91,10 +97,6 @@ class SymToeplitz:
         """T times x along x's last axis, through the circulant of size
         2m rounded up to a power of two."""
         if self._circulant is None:
-            # Built in its own call, so that its column is freed before
-            # the product's temporaries are allocated.  Kept through the
-            # first product, it made perfbench's solve-large, which solves
-            # on a fresh matrix each time, about 4% slower.
             self._circulant = self._embed()
         pad, spectrum = self._circulant
         y = np.fft.irfft(spectrum * np.fft.rfft(x, n=pad), n=pad)
@@ -113,40 +115,62 @@ class SymToeplitz:
     def stride2_rows(self):
         """(spectrum, rows): the rows of T x at the even or the odd
         positions above DENSE_MATVEC_CUTOFF, as dense_rows gives them
-        below it.  spectrum(v) is the transform of a half v = x[0::2] or
-        x[1::2] (numpy.fft.rfft zero-padded to P, the smallest power of
-        two >= m): one forward transform of length P.  rows(parity, xf,
-        xc) is (T x)[parity::2] from xf and xc, the spectra of x[0::2]
-        and x[1::2], either of which may be the scalar 0.0 for a zero
-        half: the first ceil(m/2) entries of irfft(S_EE xf + S_EO xc)
-        for the even rows, the first floor(m/2) of irfft(conj(S_EO) xf +
-        S_EE xc) for the odd ones, one inverse transform of length P.
-        The spectra are built on the first call and cached; needs
-        m >= 2."""
-        m = self.m
-        n_even, n_odd = (m + 1) // 2, m // 2
-        if self._half is None:
-            t = self.symbol
-            pad = 1 << (m - 1).bit_length()
-            col = np.zeros(pad)  # lags 0, 1, ..., then the negative ones
-            col[:n_even] = t[0::2]
-            col[pad - n_even + 1:] = t[2::2][::-1]
-            s_ee = np.fft.rfft(col).real.copy()
-            col[:] = 0.0
-            col[:n_even] = t[np.abs(2 * np.arange(n_even) - 1)]  # t_|2k-1|
-            col[pad - n_odd + 1:] = t[2 * n_odd - 1:2:-2]  # t_2j+1, lag -j
-            self._half = (pad, s_ee, np.fft.rfft(col))
-        pad, s_ee, s_eo = self._half
+        below it.  spectrum(parity, v) is the transform of a half
+        v = x[parity::2] (numpy.fft.rfft zero-padded to P, the smallest
+        power of two >= m): one forward transform of length P, written
+        into the matrix's slot for that parity.  rows(parity, xf, xc) is
+        (T x)[parity::2] from xf and xc, the spectra of x[0::2] and
+        x[1::2], either of which may be the scalar 0.0 for a zero half:
+        the first ceil(m/2) entries of irfft(S_EE xf + S_EO xc) for the
+        even rows, the first floor(m/2) of irfft(conj(S_EO) xf + S_EE xc)
+        for the odd ones, one inverse transform of length P.
 
-        def spectrum(v):
-            return np.fft.rfft(v, n=pad)
+        Both write into work arrays the matrix keeps, so a large pad is
+        not allocated, and its pages faulted in, on every call.  A
+        parity's spectrum is valid until the next spectrum() of that
+        parity, and the view rows() returns until the next rows() call.
+        The spectra and the work arrays are built on the first call and
+        cached; needs m >= 2."""
+        half = self._half
+        if half is None:
+            half = self._half = self._stride2_form()
+        return half[3], half[4]
+
+    def _stride2_form(self):
+        """(P, S_EE, S_EO, spectrum, rows) for stride2_rows."""
+        t, m = self.symbol, self.m
+        n_even, n_odd = (m + 1) // 2, m // 2
+        pad = 1 << (m - 1).bit_length()
+        col = np.zeros(pad)  # lags 0, 1, ..., then the negative ones
+        col[:n_even] = t[0::2]
+        col[pad - n_even + 1:] = t[2::2][::-1]
+        s_ee = np.fft.rfft(col).real.copy()
+        col[:] = 0.0
+        col[:n_even] = t[np.abs(2 * np.arange(n_even) - 1)]  # t_|2k-1|
+        col[pad - n_odd + 1:] = t[2 * n_odd - 1:2:-2]  # t_2j+1, lag -j
+        s_eo = np.fft.rfft(col)
+        s_oe = s_eo.conj()
+        # a spectrum slot per parity, the spectral product's two terms
+        # and the inverse transform's output
+        slots = np.empty_like(s_eo), np.empty_like(s_eo)
+        prod, term = np.empty_like(s_eo), np.empty_like(s_eo)
+        y = np.empty(pad)
+
+        def spectrum(parity, v):
+            return np.fft.rfft(v, n=pad, out=slots[parity])
 
         def rows(parity, xf, xc):
             if parity:
-                y = np.fft.irfft(s_eo.conj() * xf + s_ee * xc, n=pad)
-                return y[:n_odd]
-            return np.fft.irfft(s_ee * xf + s_eo * xc, n=pad)[:n_even]
-        return spectrum, rows
+                np.multiply(s_oe, xf, out=prod)
+                np.multiply(s_ee, xc, out=term)
+                n = n_odd
+            else:
+                np.multiply(s_ee, xf, out=prod)
+                np.multiply(s_eo, xc, out=term)
+                n = n_even
+            np.add(prod, term, out=prod)
+            return np.fft.irfft(prod, n=pad, out=y)[:n]
+        return pad, s_ee, s_eo, spectrum, rows
 
     def to_dense(self):
         """Materialize the full (m, m) array, read-only.  Cached for reuse,

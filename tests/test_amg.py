@@ -525,6 +525,50 @@ class TestVcycleSolve:
                 if pads:
                     assert Counter(transforms)[pads[0]] == finest + 3
 
+    def test_fft_levels_transform_into_their_work_arrays(self, monkeypatch):
+        # Every half-pad transform of an FFT level writes into one of the
+        # arrays its matrix keeps: two spectrum slots for rfft, one
+        # output for irfft, the same arrays in every solve on the
+        # hierarchy.  At M = 1024 the two finest levels use the FFT,
+        # with the pads 1024 and 512.
+        A, b = first_step_system(1024)
+        h = setup(A)
+        pads = [1 << (T.m - 1).bit_length() for T in h.matrices
+                if T.m > DENSE_MATVEC_CUTOFF]
+        assert len(pads) == 2
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        outs = []
+
+        def recorded(fft, name):
+            def wrapper(a, n=None, **kwargs):
+                outs.append((name, n, kwargs.get("out")))
+                return fft(a, n=n, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfft", recorded(rfft, "rfft"))
+        monkeypatch.setattr(np.fft, "irfft", recorded(irfft, "irfft"))
+        arrays = []
+        for x0 in (None, b):
+            outs.clear()
+            _, rep = amg_solve(h, b, tol=1e-12, x0=x0)
+            assert rep.converged and rep.iterations > 0
+            used = {}
+            for name, n, out in outs:
+                if n in pads:
+                    assert isinstance(out, np.ndarray)
+                    used.setdefault((name, n), {})[id(out)] = out
+            assert sorted(used) == sorted(
+                (name, n) for name in ("irfft", "rfft") for n in pads)
+            for (name, n), found in used.items():
+                assert len(found) == (2 if name == "rfft" else 1)
+                assert all(out.shape == ((n // 2 + 1,) if name == "rfft"
+                                         else (n,))
+                           for out in found.values())
+            arrays.append({key: sorted(found)
+                           for key, found in used.items()})
+        # the second solve, from a warm start, reuses the first's arrays
+        assert arrays[0] == arrays[1]
+
     # 8: the cycle is the one-level direct solve; 256: every level has a
     # dense copy; 1024: the finest level uses the FFT product.
     @pytest.mark.parametrize("m", [8, 256, 1024])

@@ -165,8 +165,8 @@ def test_stride2_blocks_match_the_full_product(m):
     spectrum, rows = T.stride2_rows()
     ev, od = slice(0, None, 2), slice(1, None, 2)
     x = np.random.default_rng(m + 2).standard_normal(m)
-    xf, xc = spectrum(x[ev]), spectrum(x[od])
-    pad, s_ee, s_eo = T._half
+    xf, xc = spectrum(0, x[ev]), spectrum(1, x[od])
+    pad, s_ee, s_eo = T._half[:3]
     assert pad == 1 << (m - 1).bit_length()  # >= m: half a full pad
     full = T._circulant_product(x)
     assert 2 * pad == T._circulant[0]
@@ -181,14 +181,17 @@ def test_stride2_blocks_match_the_full_product(m):
     def block(s, xs, n):
         return np.fft.irfft(s * xs, n=pad)[:n]
 
+    # each result of rows() is a view of the matrix's work array, valid
+    # until the next call, so each is checked before the next is made
     scale = np.max(np.abs(full))
-    for got, want in (
-            (rows(0, xf, xc), full[ev]),
-            (rows(1, xf, xc), full[od]),
-            (rows(0, xf, 0.0), dense[ev, ev] @ x[ev]),
-            (rows(0, 0.0, xc), dense[ev, od] @ x[od]),
-            (rows(1, xf, 0.0), dense[od, ev] @ x[ev]),
-            (rows(1, 0.0, xc), dense[od, od] @ x[od])):
+    for (parity, f, c), want in (
+            ((0, xf, xc), full[ev]),
+            ((1, xf, xc), full[od]),
+            ((0, xf, 0.0), dense[ev, ev] @ x[ev]),
+            ((0, 0.0, xc), dense[ev, od] @ x[od]),
+            ((1, xf, 0.0), dense[od, ev] @ x[ev]),
+            ((1, 0.0, xc), dense[od, od] @ x[od])):
+        got = rows(parity, f, c)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
     # the identities behind storing two spectra: the circulant column of
