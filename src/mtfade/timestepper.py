@@ -37,7 +37,8 @@ class RunResult:
     covers the step matrices and solvers (once on a uniform mesh, every
     step on a graded one), rhs the right-hand sides with the product
     A U^{n-1} they share, and solve the projected starts and the linear
-    solves."""
+    solves.  On a uniform mesh solve also holds the build of the folded
+    cycle (amg.fold), which the second AMG step's solve makes."""
 
     states: np.ndarray
     l2_error: Optional[float]

@@ -1,6 +1,7 @@
 """Hierarchy construction, transfer operators, and the multigrid solves."""
 
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -13,7 +14,7 @@ from mtfade import (FractionalOrders, SymToeplitz, TimePolicy, amg_solve,
                     cg_solve, cg_switch, galerkin_symbol, interp_apply,
                     make_example_1, make_mesh, restrict_apply, setup,
                     step_matrix, two_level_solve, vcycle)
-from mtfade.amg import AdaptiveSolver, TwoLevelV01, coarse_solve
+from mtfade.amg import AdaptiveSolver, TwoLevelV01, coarse_solve, fold
 from mtfade.assembly import initial_state, rhs_vector
 from mtfade.camg_dense import DenseAmg
 from mtfade.solvers import (COARSEST_MAX, _stride2_sweep, lu_nopivot,
@@ -195,10 +196,31 @@ class TestTransfers:
             interp_apply(np.zeros(4), 7)
         with pytest.raises(ValueError):
             restrict_apply(np.zeros(6), 7)
-        with pytest.raises(ValueError):  # vectors only, no blocks
-            interp_apply(np.zeros((3, 2)), 7)
+        with pytest.raises(ValueError):  # a block of the wrong length
+            interp_apply(np.zeros((4, 2)), 7)
         with pytest.raises(ValueError):
-            restrict_apply(np.zeros((7, 2)), 7)
+            restrict_apply(np.zeros((6, 2)), 7)
+        with pytest.raises(ValueError):  # neither a vector nor a block
+            interp_apply(np.zeros((3, 2, 1)), 7)
+        with pytest.raises(ValueError):
+            restrict_apply(np.float64(1.0), 1)
+
+    def test_blocks_are_transferred_column_by_column(self):
+        # fold() runs the cycle on blocks of identity columns, so the
+        # transfers take (m, k) blocks along axis 0, each column with
+        # the vector's arithmetic.
+        rng = np.random.default_rng(25)
+        for m in (1, 2, 3, 7, 8, 33, 255):
+            for k in (1, 4):
+                xc = rng.standard_normal((m // 2, k))
+                yf = rng.standard_normal((m, k))
+                fine, coarse = interp_apply(xc, m), restrict_apply(yf, m)
+                assert fine.shape == (m, k) and coarse.shape == (m // 2, k)
+                for c in range(k):
+                    assert np.array_equal(fine[:, c],
+                                          interp_apply(xc[:, c].copy(), m))
+                    assert np.array_equal(coarse[:, c],
+                                          restrict_apply(yf[:, c].copy(), m))
 
 
 class TestGalerkinSymbol:
@@ -258,19 +280,28 @@ class TestSetup:
         # and once a solve has built them, dropping the hierarchy frees its
         # coarse matrices by reference counting, with no cycle for the
         # garbage collector to find.  At M = 2048 three levels use them.
-        A, b = first_step_system(2048)
+        # So does a folded one, whose folded matrix B the hierarchy alone
+        # holds.
         enabled = gc.isenabled()
         gc.disable()
         try:
-            h = setup(A)
-            assert all(T._half is None for T in h.matrices)
-            _, rep = amg_solve(h, b)
-            assert rep.converged
-            fft = [T for T in h.matrices if T.m > DENSE_MATVEC_CUTOFF]
-            assert len(fft) == 3 and all(T._half is not None for T in fft)
-            coarse = [weakref.ref(T) for T in h.matrices[1:]]
-            del h, fft
-            assert all(ref() is None for ref in coarse)
+            for folds in (False, True):
+                A, b = first_step_system(2048)
+                h = setup(A)
+                assert all(T._half is None for T in h.matrices)
+                x, rep = amg_solve(h, b)
+                assert rep.converged
+                fft = [T for T in h.matrices if T.m > DENSE_MATVEC_CUTOFF]
+                assert len(fft) == 3 and all(T._half is not None
+                                             for T in fft)
+                coarse = [weakref.ref(T) for T in h.matrices[1:]]
+                if folds:
+                    fold(h)
+                    _, rep = amg_solve(h, b, x0=1.01 * x)
+                    assert rep.converged and h.folded[0] == 3
+                    coarse.append(weakref.ref(h.folded[1]))
+                del h, fft
+                assert all(ref() is None for ref in coarse)
         finally:
             if enabled:
                 gc.enable()
@@ -595,6 +626,98 @@ class TestVcycleSolve:
         with pytest.raises(ValueError):
             vcycle(h, np.zeros(10), np.zeros(10))
 
+    # An r of length m + 1 once passed silently where m is odd (255 and
+    # 1023 here): its even entries fill the F-points.  A wrong-length x
+    # failed inside numpy, with no word of the finest level.
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_x_and_r_shape_guard(self, m):
+        A, b = first_step_system(m)
+        h = setup(A)
+        x = np.zeros(A.m)
+        for bad in (np.zeros(A.m + 1), np.zeros(A.m - 1), np.zeros((A.m, 1))):
+            shapes = rf"\({A.m},\).*{re.escape(str(bad.shape))}"
+            with pytest.raises(ValueError, match=shapes):
+                vcycle(h, b, x, bad)
+            with pytest.raises(ValueError, match=shapes):
+                vcycle(h, b, bad)
+            with pytest.raises(ValueError, match=shapes):
+                vcycle(h, b, bad, b)
+
+
+class TestFold:
+    """The cycle folded into one matrix B from the first level with a
+    dense copy: on a finest dense level (M = 32, 64, 256) it is the
+    whole cycle, at M = 1024 the dense tail below two FFT levels."""
+
+    @pytest.mark.parametrize("m", [32, 64, 256, 1024])
+    def test_equals_the_unfolded_cycle(self, m):
+        A, b = first_step_system(m)
+        h = setup(A)
+        warm = np.random.default_rng(m).standard_normal(A.m)
+        starts = [(x, r) for x in (np.zeros(A.m), warm)
+                  for r in (None, b - A.matvec(x))]
+        want = [vcycle(h, b, x, r)[0] for x, r in starts]
+        fold(h)
+        assert h.folded[0] == (0 if m <= 256 else 2)
+        for (x, r), x_want in zip(starts, want):
+            got, residual = vcycle(h, b, x, r)
+            assert (np.linalg.norm(got - x_want)
+                    <= 1e-12 * np.linalg.norm(x_want))
+            # the residual is b - A x of the x returned, from b and A
+            true = b - A.matvec(got)
+            if m <= DENSE_MATVEC_CUTOFF:
+                assert np.array_equal(residual(), true)
+            else:
+                assert (np.linalg.norm(residual() - true)
+                        <= 1e-12 * np.linalg.norm(b))
+
+    @pytest.mark.parametrize("m", [32, 64, 256, 1024])
+    def test_folded_matrix_is_symmetric(self, m):
+        A, _ = first_step_system(m)
+        h = setup(A)
+        fold(h)
+        j, B = h.folded
+        assert B.shape == (h.matrices[j].m,) * 2
+        assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
+
+    # 64 and 256: the whole cycle is folded; 1024: the two FFT levels are
+    # still swept, and the tail below them is one product with B.
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    def test_folded_iteration_sweeps_only_fft_levels(self, monkeypatch, m):
+        A, b = first_step_system(m)
+        h = setup(A)
+        x, _ = amg_solve(h, b)
+        fold(h)
+        fft = [T.m for T in h.matrices if T.m > DENSE_MATVEC_CUTOFF]
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(mtfade.amg, name)
+
+            def wrapper(A, *args):
+                calls[name] += 1
+                if name == "cf_jacobi_sweep":
+                    assert A.m in fft
+                return fn(A, *args)
+            return wrapper
+
+        for name in ("cf_jacobi_sweep", "restrict_apply", "interp_apply",
+                     "coarse_solve"):
+            monkeypatch.setattr(mtfade.amg, name, counted(name))
+        for x0 in (None, x * (1.0 + 1e-3)):
+            calls.clear()
+            got, rep = amg_solve(h, b, x0=x0)
+            it = rep.iterations
+            assert rep.converged and it > 0
+            assert calls["cf_jacobi_sweep"] == 2 * len(fft) * it
+            assert calls["restrict_apply"] == calls["interp_apply"] \
+                == len(fft) * it
+            assert calls["coarse_solve"] == 0
+            true = norm2(b - A.matvec(got)) / norm2(b)
+            assert true <= 1e-12
+            if m <= DENSE_MATVEC_CUTOFF:
+                assert rep.final_relres == true
+
 
 class TestAdaptiveBranch:
     def test_switch_rule(self):
@@ -615,6 +738,42 @@ class TestAdaptiveBranch:
         first = driver.hierarchy
         driver.solve(b, tol=1e-12)
         assert driver.hierarchy is first  # setup ran once
+
+    def test_driver_folds_on_its_second_amg_solve_only(self, monkeypatch):
+        folds = []
+        real = mtfade.amg.fold
+
+        def counted(h):
+            folds.append(h.folded is None)
+            real(h)
+
+        monkeypatch.setattr(mtfade.amg, "fold", counted)
+        spec, mesh, mats = model_matrix(m=128)
+        b = np.ones(mats.a_full.m)
+        driver = AdaptiveSolver(spec, mesh, mats)
+        assert not driver.use_cg
+        for k, branch in enumerate(("cg", "amg", "cg", "amg", "amg"), 1):
+            _, rep = driver.solve(b, tol=1e-12, force=branch)
+            assert rep.converged and rep.branch == branch
+            if k <= 3:  # one AMG solve so far: the hierarchy is unfolded
+                assert driver.hierarchy.folded is None and not folds
+        assert folds == [True] and driver.hierarchy.folded[0] == 0
+        # CG solves on a driver that picks CG never build a hierarchy
+        spec, mesh, mats = model_matrix(m=64, policy=TimePolicy.TAU_EQ_H2)
+        driver = AdaptiveSolver(spec, mesh, mats)
+        assert driver.use_cg
+        for _ in range(3):
+            assert driver.solve(np.ones(mats.a_full.m))[1].branch == "cg"
+        assert driver._hierarchy is None and not folds[1:]
+        # a one-level hierarchy (M <= 16) is a direct solve, not folded
+        for m in (8, 16):
+            spec, mesh, mats = model_matrix(m=m)
+            driver = AdaptiveSolver(spec, mesh, mats)
+            for _ in range(3):
+                _, rep = driver.solve(np.ones(mats.a_full.m), force="amg")
+                assert rep.converged
+            assert driver.hierarchy.n_levels == 1
+            assert driver.hierarchy.folded is None
 
     def test_forced_branch_and_one_shot(self):
         spec, mesh, mats = model_matrix(m=128)
