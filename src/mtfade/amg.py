@@ -33,14 +33,20 @@ matrix (fold).  From the first level with a dense copy down, the cycle
 with its linear smoothers and exact coarsest solve is the stationary
 iteration x + B (b - A x) for one fixed symmetric matrix B (Xu, SIAM
 Rev. 34, 1992), which fold() builds once by cycling the identity.  A
-folded level's cycle is then x + B @ r and its residual b - D @ x, so
-with every level dense an iteration is two matrix-vector products: 21
-us at M = 256, where the unfolded cycle with its residual takes 151.
-Below FFT levels the dense tail becomes one product.  B costs about 40
-unfolded cycles to build at M = 256, so the adaptive driver folds on a
-hierarchy's second AMG solve and never on its first: a hierarchy that
-is solved once keeps the cycle as it is, and amg_solve and vcycle fold
-nothing themselves.
+symmetric Toeplitz matrix is also persymmetric, J A J = A for the
+reversal J, and when every smoothed level from the folded one down has
+odd m the stride-2 split and the transfers map onto themselves under J
+too; then J B J = B, and fold() cycles only the first half of the
+identity's columns and mirrors the rest.  That holds whenever M is a
+power of two.  A folded level's cycle is then x + B r, one symmetric
+BLAS product (dsymv), and its residual b - D @ x, so with every level
+dense an iteration is two matrix-vector products: 20 us at M = 256,
+where the unfolded cycle with its residual takes 160.  Below FFT levels
+the dense tail becomes one product.  B costs about 19 unfolded cycles
+to build at M = 256, so the adaptive driver folds on a hierarchy's
+second AMG solve and never on its first: a hierarchy that is solved
+once keeps the cycle as it is, and amg_solve and vcycle fold nothing
+themselves.
 
 When tau^alpha0 h^(-2 gamma) <= 1 the condition number of the step
 matrix is O(1), plain CG is cheaper, and the adaptive driver switches
@@ -55,6 +61,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsymv
 
 from .assembly import StepMatrix
 from .problem import Mesh, ProblemSpec
@@ -79,7 +86,9 @@ class AmgHierarchy:
 
     @property
     def stored_entries(self):
-        """Symbol entries held across all levels (O(M) storage claim)."""
+        """Symbol entries held across all levels, O(M).  It counts
+        neither the dense copies of the levels with m <= 384 nor, after
+        fold(), B's at most 384^2 entries."""
         return sum(A.m for A in self.matrices)
 
 
@@ -167,15 +176,17 @@ def _cycle(h: AmgHierarchy, j: int, b: np.ndarray, x: Optional[np.ndarray],
     """The V(1,1)-cycle from level j down, returning (x, residual) as
     cf_jacobi_sweep does; x is never written, only the sweep's copy.  x
     None is a zero guess, whose residual r is b.  On a level with a dense
-    copy b, x and r may be (m, k) blocks, cycled column by column."""
+    copy b, x and r may be (m, k) blocks, cycled column by column, except
+    on the folded level, whose cycle takes vectors only."""
     A = h.matrices[j]
     folded = h.folded
     if folded is not None and folded[0] == j:
-        dense, B = A.dense_rows()[0], folded[1]
+        # B.T is B's F-contiguous view, which dsymv takes without a copy
+        dense, B = A.dense_rows()[0], folded[1].T
         if x is None:
-            x = B @ b
+            x = dsymv(1.0, B, b)
         else:
-            x = x + B @ (b - dense @ x if r is None else r)
+            x = dsymv(1.0, B, b - dense @ x if r is None else r, 1.0, x)
         return x, lambda: b - dense @ x
     if j == len(h.matrices) - 1:
         x = coarse_solve(h, b)
@@ -197,30 +208,47 @@ def fold(h: AmgHierarchy) -> None:
     the pre-sweep's order reversed.  fold() forms B of level j, an m x m
     matrix, by running the cycle on the columns of the identity from a
     zero guess, a panel of columns at a time, so that the cycle's
-    temporaries stay a panel wide.  It sets h.folded = (j, B); from then
-    on a cycle on level j is x + B @ r and its residual b - D @ x, two
-    products with dense m x m matrices.  A hierarchy of one level is a
-    direct solve already and is not folded.
+    temporaries stay a panel wide.
+
+    When every level in h.matrices[j:-1] (the smoothed ones) has odd m,
+    the cycle commutes with the reversal J: each level's matrix is
+    symmetric Toeplitz, hence persymmetric (J A J = A), and its C/F
+    split, half-weight transfers and one-sided boundary weights map
+    onto themselves under J.  So J B J = B, and fold() cycles only the
+    first ceil(m/2) columns and fills column c past them as column
+    m - 1 - c reversed.  An even smoothed level (at M = 100, say, whose
+    levels are 99, 49, 24 and 12) breaks the symmetry, and all m
+    columns are cycled.
+
+    It sets h.folded = (j, B); from then on a cycle on level j is
+    x + B r, a dsymv product on B's F-contiguous transpose, and its
+    residual b - D @ x, with the level's dense copy D.  A hierarchy of
+    one level is a direct solve already and is not folded, and one that
+    is folded already is left as it is.
 
     Measured with one BLAS thread (2-core x86-64 host), building B takes
-    0.3 ms at m = 63 and 6 ms at m = 255, the time of about 5 and 40
-    unfolded cycles of a hierarchy with that finest level; a folded
-    cycle with its residual takes 5 and 21 us there, against 51 and
-    151 us unfolded."""
+    0.14 ms at m = 63 and 3.2 ms at m = 255, the time of about 2.4 and
+    19 unfolded cycles of a hierarchy with that finest level; a folded
+    cycle with its residual takes 5 and 20 us there, against 58 and
+    160 us unfolded."""
+    if h.folded is not None:
+        return
     for j, A in enumerate(h.matrices[:-1]):
         if A.dense_rows() is not None:
             break
     else:
         return
     m = A.m
+    cols = (m + 1) // 2 if all(T.m % 2 for T in h.matrices[j:-1]) else m
     # Panels of 32 columns: at m = 255 the build's peak memory grows
     # 1.0 MB, where one block of all m columns grows it 4.1 MB, in about
     # the same time.
     width = 32
     B = np.empty((m, m))
-    for s in range(0, m, width):
-        panel = np.eye(m, min(width, m - s), -s)
-        B[:, s:s + width] = _cycle(h, j, panel, None, panel)[0]
+    for s in range(0, cols, width):
+        panel = np.eye(m, min(width, cols - s), -s)
+        B[:, s:s + panel.shape[1]] = _cycle(h, j, panel, None, panel)[0]
+    B[:, cols:] = B[::-1, :m - cols][:, ::-1]
     h.folded = j, B
 
 
@@ -250,8 +278,8 @@ def vcycle(h: AmgHierarchy, b: np.ndarray, x: np.ndarray,
     3 half-pad transforms on one without.
 
     On a hierarchy that fold() has folded, the cycle from the folded
-    level j down is one product with its matrix B: x + B @ r on the
-    finest level (one product more without r) and B @ b on a coarse
+    level j down is one symmetric product with its matrix B: x + B r on
+    the finest level (one product more without r) and B b on a coarse
     level, from its zero guess.  So with every level dense (a finest
     m <= 384) a cycle is one matrix-vector product and its residual() a
     second, b - D @ x with the dense copy; below FFT levels the dense
@@ -283,7 +311,7 @@ def amg_solve(h: AmgHierarchy, b: np.ndarray, tol: float = 1e-12,
     smoothed levels with a dense copy, and 18 transforms of the half pad
     on a finest level without one.  On a folded hierarchy (fold) an
     iteration with every level dense is two matrix-vector products,
-    B @ r and D @ x, and below FFT levels the folded dense tail is one.
+    B r and D @ x, and below FFT levels the folded dense tail is one.
     The first check is one product, or none from a zero start (x0 None).
     """
     def step(b, x, r, budget):
@@ -309,8 +337,9 @@ class AdaptiveSolver:
     hierarchy before it starts, and it and every later solve iterate on
     the folded cycle.  The first solve runs the cycle as it is, so a
     driver that solves once (a graded step, a one-off solve) never pays
-    for B, which costs about 5 unfolded cycles to build at M = 64 and 40
-    at M = 256 (see fold).  CG solves do not count, and a one-level
+    for B, which costs about 2.4 unfolded cycles to build at M = 64 and
+    19 at M = 256, where the hierarchy's mirror symmetry lets fold()
+    cycle half of the identity's columns (see fold).  CG solves do not count, and a one-level
     hierarchy is not folded.
     """
 

@@ -601,7 +601,8 @@ class TestVcycleSolve:
         assert arrays[0] == arrays[1]
 
     # 8: the cycle is the one-level direct solve; 256: every level has a
-    # dense copy; 1024: the finest level uses the FFT product.
+    # dense copy; 1024: the finest level uses the FFT product.  Each runs
+    # unfolded, then folded (which leaves the one-level hierarchy as it is).
     @pytest.mark.parametrize("m", [8, 256, 1024])
     def test_leaves_its_arguments_unchanged(self, m):
         A, b = first_step_system(m)
@@ -609,10 +610,14 @@ class TestVcycleSolve:
         x = np.random.default_rng(m).standard_normal(A.m)
         r = b - A.matvec(x)
         before = [v.copy() for v in (b, x, r)]
-        for given in (r, None):
-            vcycle(h, b, x, given)[1]()
-        for v, w in zip((b, x, r), before):
-            assert np.array_equal(v, w)
+        for folds in (False, True):
+            if folds:
+                fold(h)
+                assert (h.folded is None) == (m == 8)
+            for given in (r, None):
+                vcycle(h, b, x, given)[1]()
+            for v, w in zip((b, x, r), before):
+                assert np.array_equal(v, w)
 
     def test_zero_rhs(self):
         _, _, mats = model_matrix(m=64)
@@ -646,10 +651,10 @@ class TestVcycleSolve:
 
 class TestFold:
     """The cycle folded into one matrix B from the first level with a
-    dense copy: on a finest dense level (M = 32, 64, 256) it is the
+    dense copy: on a finest dense level (M = 32, 64, 100, 256) it is the
     whole cycle, at M = 1024 the dense tail below two FFT levels."""
 
-    @pytest.mark.parametrize("m", [32, 64, 256, 1024])
+    @pytest.mark.parametrize("m", [32, 64, 100, 256, 1024])
     def test_equals_the_unfolded_cycle(self, m):
         A, b = first_step_system(m)
         h = setup(A)
@@ -679,6 +684,54 @@ class TestFold:
         j, B = h.folded
         assert B.shape == (h.matrices[j].m,) * 2
         assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
+
+    # Every smoothed level from the folded one down has odd m at M = 32
+    # (31), 48 (47, 23), 64, 256 and 1024 (255 ... 31), so J B J = B for
+    # the reversal J and fold() cycles the first ceil(m/2) identity
+    # columns only.  At M = 100 (99, 49, 24) and 200 (199 ... 24) the
+    # 24-level is even and all m columns are cycled.
+    @pytest.mark.parametrize("m, mirrored", [
+        (32, True), (48, True), (64, True), (100, False), (200, False),
+        (256, True), (1024, True)])
+    def test_matches_the_full_identity_oracle(self, monkeypatch, m,
+                                              mirrored):
+        A, _ = first_step_system(m)
+        h = setup(A)
+        j = 0 if m <= 256 else 2
+        size = h.matrices[j].m
+        identity = np.eye(size)
+        oracle = mtfade.amg._cycle(h, j, identity, None, identity)[0]
+        cycled = []
+        real = mtfade.amg._cycle
+
+        def counted(h, level, b, x, r):
+            if level == j:
+                cycled.append(b.shape[1])
+            return real(h, level, b, x, r)
+
+        monkeypatch.setattr(mtfade.amg, "_cycle", counted)
+        fold(h)
+        assert h.folded[0] == j
+        assert sum(cycled) == ((size + 1) // 2 if mirrored else size)
+        B = h.folded[1]
+        assert (np.abs(B - oracle).max()
+                <= 1e-14 * np.abs(oracle).max())
+
+    def test_a_second_fold_keeps_its_matrix(self, monkeypatch):
+        A, _ = first_step_system(256)
+        h = setup(A)
+        fold(h)
+        folded = h.folded
+        cycles = []
+        real = mtfade.amg._cycle
+
+        def counted(*args):
+            cycles.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(mtfade.amg, "_cycle", counted)
+        fold(h)
+        assert h.folded is folded and not cycles
 
     # 64 and 256: the whole cycle is folded; 1024: the two FFT levels are
     # still swept, and the tail below them is one product with B.

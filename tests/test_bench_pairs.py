@@ -67,3 +67,21 @@ def test_a_failed_run_without_metrics_drops_its_pair():
     s = bench_pairs.summarize({"w": {"parent": parent, "change": change}},
                               METRICS[:1])["w"]["solution_s"]
     assert s["pairs"] == 1 and s["wins"] == 1 and s["ratio"] == 0.5
+
+
+def test_sign_test_p_values():
+    assert bench_pairs.sign_test(10, 0) == pytest.approx(0.00195, abs=5e-6)
+    assert bench_pairs.sign_test(0, 10) == bench_pairs.sign_test(10, 0)
+    assert bench_pairs.sign_test(5, 5) == 1.0
+    # 9 of 10: 2 (1 + 10) / 1024
+    assert bench_pairs.sign_test(9, 1) == pytest.approx(22 / 1024)
+    assert bench_pairs.sign_test(0, 0) == 1.0
+
+
+def test_summary_carries_the_sign_test_without_ties():
+    parent = records({"solution_s": 1.0} for _ in range(10))
+    change = records({"solution_s": s} for s in [0.9] * 9 + [1.0])
+    s = bench_pairs.summarize({"w": {"parent": parent, "change": change}},
+                              METRICS[:1])["w"]["solution_s"]
+    # the tied pair counts neither way: 9 wins of 9
+    assert s["wins"] == 9 and s["sign_p"] == pytest.approx(2 / 512)

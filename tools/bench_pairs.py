@@ -15,8 +15,9 @@ workload (default 10), the workloads of BENCHMARK.json by default.
 For each workload and end-to-end metric of BENCHMARK.json, the printout
 gives both sides' medians, the ratio change / parent of the medians, the
 pairs out of N in which the change was better (by the metric's "better"
-direction), and whether the change's median lies beyond the parent's
-interquartile range on the better side.  OUT holds that summary, every
+direction), the exact two-sided sign-test p-value of those wins, and
+whether the change's median lies beyond the parent's interquartile range
+on the better side.  OUT holds that summary, every
 run's result (the last line of run.py's output, with its pair and which
 side ran first) and the environment each side reported.  Standard
 library only; nothing under perfbench/ is changed.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -66,14 +68,24 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p-value of wins against losses, ties
+    left out: twice the binomial(n, 1/2) tail at the smaller count, at
+    most 1.  10 wins of 10 give 2 / 2^10 = 0.00195."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def summarize(runs: dict, metrics: list[dict]) -> dict:
     """runs maps a workload to {"parent": [...], "change": [...]}, the
     i-th record of each side from pair i; metrics are BENCHMARK.json's
     end-to-end entries.  Returns, per workload and metric present on
     both sides: each side's median, the parent's quartiles, the ratio of
-    the medians, the pairs in which the change was better, and whether
-    its median lies beyond the parent's interquartile range on the
-    better side."""
+    the medians, the pairs in which the change was better, the sign-test
+    p-value of those wins against the pairs in which it was worse, and
+    whether its median lies beyond the parent's interquartile range on
+    the better side."""
     out = {}
     for workload, sides in runs.items():
         out[workload] = {}
@@ -92,6 +104,7 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
             q1, _, q3 = (statistics.quantiles(parent, n=4)
                          if len(parent) > 1 else (mp, mp, mp))
             wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+            losses = sum((c > p) if lower else (c < p) for p, c in pairs)
             beyond = (mc < mp - (q3 - q1)) if lower else (mc > mp + (q3 - q1))
             out[workload][name] = {
                 "unit": metric["unit"], "better": metric["better"],
@@ -99,6 +112,7 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
                 "parent_quartiles": [q1, q3],
                 "ratio": mc / mp if mp else None,
                 "wins": wins, "pairs": len(pairs),
+                "sign_p": sign_test(wins, losses),
                 "beyond_parent_iqr": beyond,
             }
     return out
@@ -152,7 +166,8 @@ def main(argv: list[str]) -> int:
             ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.4f}"
             print(f"{workload:<14} {name:<12} parent {s['parent_median']:.6g}"
                   f" change {s['change_median']:.6g} ratio {ratio} better in"
-                  f" {s['wins']} of {s['pairs']}"
+                  f" {s['wins']} of {s['pairs']} (sign-test p"
+                  f" {s['sign_p']:.3g})"
                   f"{' beyond parent IQR' if s['beyond_parent_iqr'] else ''}")
     failed = any(not r.get("correct", False) for sides in runs.values()
                  for side in sides.values() for r in side)
