@@ -131,11 +131,10 @@ def class_conditions(spec: ProblemSpec, mesh: Mesh):
     return class1, class2
 
 
-def spectrum(T: SymToeplitz, tol: float = 1e-6,
-             dense_cap: int = EIG_DENSE_CAP) -> SpectrumReport:
+def spectrum(T: SymToeplitz, tol: float = 1e-6) -> SpectrumReport:
     """Extremal eigenvalues and condition number of an SPD Toeplitz matrix.
 
-    Up to dense_cap unknowns, one dense symmetric eigensolve: both
+    Up to EIG_DENSE_CAP unknowns, one dense symmetric eigensolve: both
     eigenvalues are exact to rounding and residual_tol_achieved is 0.
     Above it, Lanczos (_lanczos_top) on T for the largest and on T^-1
     (CG inner solves) for the smallest eigenvalue.  Each stops once two
@@ -144,11 +143,17 @@ def spectrum(T: SymToeplitz, tol: float = 1e-6,
     value of T lies below lambda_max, and 1 / (Ritz value of T^-1)
     above lambda_min.  Neither is an error bound: a run that converges
     slowly stops with an estimate further from the eigenvalue than tol.
+    A dense eigensolve whose lambda_min is not positive raises
+    LinAlgError.
     """
     m = T.m
-    if m <= dense_cap:
+    if m <= EIG_DENSE_CAP:
         eigs = scipy.linalg.eigvalsh(T.to_dense())
         lmin, lmax = eigs[0], eigs[-1]
+        if not lmin > 0:
+            raise np.linalg.LinAlgError(
+                f"matrix is not positive definite (m={m}, "
+                f"lambda_min={lmin:.6g})")
         return SpectrumReport(lambda_min=float(lmin), lambda_max=float(lmax),
                               kappa=float(lmax / lmin), method="dense",
                               residual_tol_achieved=0.0)

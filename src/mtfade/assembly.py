@@ -223,17 +223,22 @@ def _space_moments(terms, a: float, h: float, m: int, nx: int):
     return moments
 
 
+def _slab_rule(t0, t1):
+    """(nodes, weights): the 4-node Gauss-Legendre rule on the time slab
+    (t0, t1), broadcast along a last axis of length 4."""
+    gt, wt = _gauss_legendre(4)
+    return 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt, 0.5 * (t1 - t0) * wt
+
+
 @functools.lru_cache(maxsize=8)
 def _time_integrals(terms, mesh: Mesh):
     """The integral of each time part g_i of a separable source's terms
-    over every slab (t_{n-1}, t_n) of the mesh's time grid, by 4-node
-    Gauss-Legendre: a read-only (N x terms) array whose row n-1 is slab
+    over every slab (t_{n-1}, t_n) of the mesh's time grid, by
+    _slab_rule: a read-only (N x terms) array whose row n-1 is slab
     n.  Each g_i is evaluated once, on all 4N nodes."""
     t = mesh.times
-    t0, t1 = t[:-1, None], t[1:, None]
-    gt, wt = _gauss_legendre(4)
-    nodes = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt).ravel()
-    weights = 0.5 * (t1 - t0) * wt
+    nodes, weights = _slab_rule(t[:-1, None], t[1:, None])
+    nodes = nodes.ravel()
     slabs = np.stack([(weights * g(nodes).reshape(weights.shape)).sum(axis=1)
                       for g, _ in terms], axis=1)
     slabs.setflags(write=False)
@@ -266,10 +271,7 @@ def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
     if terms is not None:
         moments = _space_moments(terms, float(a), float(mesh.h), mesh.m, nx)
         return _time_integrals(terms, mesh)[n - 1] @ moments
-    t0, t1 = mesh.times[n - 1], mesh.times[n]
-    gt, wt = _gauss_legendre(4)
-    t_nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt
-    t_weights = 0.5 * (t1 - t0) * wt
+    t_nodes, t_weights = _slab_rule(mesh.times[n - 1], mesh.times[n])
     pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m, nx)
     ft = np.zeros(pts.size)
     for tq, twq in zip(t_nodes, t_weights):

@@ -48,8 +48,8 @@ def direct_interp(A: np.ndarray) -> sp.csr_matrix:
 
 class DenseAmg:
     """Classical AMG hierarchy on dense matrices (stride-2 splitting),
-    coarsened like the Toeplitz one until at most COARSEST_MAX unknowns
-    remain, whose matrix it factors the same way."""
+    with the Toeplitz one's coarsest level (see
+    solvers.coarsest_cholesky)."""
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=np.float64)

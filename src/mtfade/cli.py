@@ -145,7 +145,7 @@ def cmd_condest(args, w) -> int:
     try:
         rows = kappa_ratio_table(args.spec, lambda m: _mesh(args, m),
                                  args.sizes)
-    except RuntimeError as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     w.writerow(["M", "lambda_min", "lambda_max", "kappa", "ratio"])

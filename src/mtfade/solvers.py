@@ -1,18 +1,7 @@
-"""The iteration driver, the CF-Jacobi smoother, conjugate gradients, the
-multigrid's coarsest-level Cholesky solve, and the pivot-free dense
-solve.
-
-The smoother runs on every multigrid cycle, and on the small levels its
-cost per call rivals its products, so a sweep takes the rows it relaxes
-from the matrix in whichever form the matrix keeps
-(SymToeplitz.dense_rows, stride2_rows) and looks nothing else up.  A
-sweep also offers b - A x for the x it returns, formed on request from
-the same form, and a multigrid iteration hands its finest post-sweep's
-to iterate() as the next check: one product with a dense copy, or three
-transforms of the half pad, never one through the full circulant.  For
-a step that hands back no residual (CG, the dense oracle, the two-level
-baseline) iterate() takes the check as one product, bound once per
-solve."""
+"""The iteration driver (iterate), the CF-Jacobi smoother
+(cf_jacobi_sweep), conjugate gradients (cg_solve), the multigrid's
+coarsest-level Cholesky solve (coarsest_cholesky) and the pivot-free
+dense solve (lu_nopivot)."""
 
 from __future__ import annotations
 
@@ -26,17 +15,12 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .toeplitz import SymToeplitz
 
-# The paper's multigrid, which has no settings: both hierarchies coarsen
-# until at most COARSEST_MAX unknowns remain, factor that level once by
-# Cholesky (coarsest_cholesky), and smooth with one CF-Jacobi sweep (F,
-# C, F passes) before and after each coarse correction.  A coarsest size
-# of 31 is faster: in three alternating 30 s perfbench pairs (one BLAS
-# thread, shared 2-core x86-64 host) it took march-tau-h's solution_s
-# from 0.0805 to 0.0715 s and march-graded's from 0.0703 to 0.0662 s.
-# But it moves the iteration counts, and the projected start's
-# test_projection_saves_iterations[decay] (tests/test_timestepper.py)
-# then reads 136 iterations against 193 replayed from the previous
-# state, a ratio of 0.705 above its 0.7 bound; so the size stays 15.
+# The most unknowns of a multigrid's coarsest level (see
+# coarsest_cholesky).  A size of 31 moves the iteration counts, and the
+# projected start's test_projection_saves_iterations[decay]
+# (tests/test_timestepper.py) then reads 136 iterations against 193
+# replayed from the previous state, a ratio of 0.705 above its 0.7
+# bound; so the size stays 15.
 COARSEST_MAX = 15
 _EPS2 = float(np.finfo(np.float64).eps) ** 2
 
@@ -165,9 +149,6 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     before x is written and before the next sweep on the same matrix
     (an FFT sweep keeps its spectra in the matrix's work arrays), so a
     caller that does not need it pays nothing.
-    The multigrid restricts the pre-sweep's residual, hands the finest
-    post-sweep's to iterate() as its check, and drops the coarse
-    post-sweeps'.
 
     The first pass takes one residual, or none when the caller passes
     r = b - A x (for a zero x, r = b).  The other two compute only the
@@ -175,14 +156,14 @@ def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,
     (SymToeplitz.dense_rows, or A itself, each row then weighted by its
     own diagonal entry) those are half a product each, and residual() is
     one product b - D @ x.  Otherwise (SymToeplitz.stride2_rows) the
-    sweep keeps the spectra of x's even and odd halves in the matrix's
-    two spectrum slots, each pass makes one inverse transform for the
-    rows it relaxes and re-transforms only the half it changed, and
-    residual() takes one forward and two inverse transforms.  An
-    all-zero half (a zero guess) is not transformed.  So a sweep from a
-    given r takes 5 transforms of length P >= m, or 4 from a zero guess,
-    and one without r takes 7; residual() takes 3, where a full product
-    takes two transforms of length 2P.
+    sweep keeps the spectra of x's even and odd halves, each pass makes
+    one inverse transform for the rows it relaxes and re-transforms only
+    the half it changed, and residual() takes one forward and two
+    inverse transforms.  An all-zero half (a zero guess) is not
+    transformed.  So a sweep from a given r takes 5 transforms of length
+    P >= m, or 4 from a zero guess, and one without r takes 7;
+    residual() takes 3, where a full product takes two transforms of
+    length 2P.
     """
     x = np.array(x, dtype=np.float64)
     if type(A) is SymToeplitz:
@@ -294,9 +275,11 @@ def cg_solve(T: SymToeplitz, b: np.ndarray, tol: float = 1e-12,
 
 def coarsest_cholesky(A: np.ndarray) -> np.ndarray:
     """The upper Cholesky factor U (A = U^T U, LAPACK dpotrf) of a
-    multigrid's coarsest matrix A (dense), which is SPD as a Galerkin
-    product of an SPD matrix; each cycle's direct solve there is then
-    one dpotrs call (cholesky_solve).  Raises LinAlgError when A is not
+    multigrid's coarsest matrix A (dense).  Both hierarchies (amg.setup,
+    camg_dense.DenseAmg) coarsen until at most COARSEST_MAX unknowns
+    remain and factor that level once here; it is SPD as a Galerkin
+    product of an SPD matrix, and each cycle's direct solve there is one
+    dpotrs call (cholesky_solve).  Raises LinAlgError when A is not
     positive definite, singular matrices included."""
     factor, info = dpotrf(A)
     if info != 0:

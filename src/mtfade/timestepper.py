@@ -38,7 +38,7 @@ class RunResult:
     step on a graded one), rhs the right-hand sides with the product
     A U^{n-1} they share, and solve the projected starts and the linear
     solves.  On a uniform mesh solve also holds the build of the folded
-    cycle (amg.fold), which the second AMG step's solve makes."""
+    cycle (amg.fold; see amg.AdaptiveSolver)."""
 
     states: np.ndarray
     l2_error: Optional[float]

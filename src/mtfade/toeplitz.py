@@ -1,33 +1,15 @@
 """Symmetric Toeplitz matrices and their two product forms.
 
 A symmetric Toeplitz matrix is stored as its first row (the "symbol"),
-which needs O(m) memory.  This module is the one that knows how it
-multiplies.  Up to DENSE_MATVEC_CUTOFF a product reads a dense copy D,
-one strided view of the symbol copied once.  Above it a product goes
-through a circulant embedding of size >= 2m, a power of two, whose
-spectrum is computed once: O(m log m) per product.  Each form is built
-on first use and held by the instance alone.  The symbol, the dense copy
-and the spectra are read-only: a SymToeplitz may be shared (the step
-matrices share their mass matrix per mesh), so no caller may write into
-them.
-
-The multigrid smoother relaxes the even positions E and the odd ones O
-in turn, so it asks for the rows of T x at E or at O rather than full
-products (solvers.cf_jacobi_sweep).  In the dense form those are the
-views D[0::2] and D[1::2] (dense_rows).  In the FFT form they come from
-the stride-2 blocks of T: T_EE and T_OO are symmetric Toeplitz with
-symbol t[0::2], T_EO has the entry t_|2k-1| at lag k = a - b, and
-T_OE = T_EO^T.  All four embed in one circulant of size P >= m, half the
-pad of a full product, with two spectra: S_EE, which is real and also
-acts as S_OO, and S_EO, whose conjugate is S_OE (Chan & Ng, "Conjugate
-gradient methods for Toeplitz systems", SIAM Rev. 38, 1996).  A caller
-transforms each half of x once and reads rows from the transforms
-(stride2_rows), so a changed half costs one transform.  Those transforms
-write into work arrays the stride-2 form keeps, a spectrum slot per
-parity and one output of the inverse transform, so at a large pad no
-call allocates pad-sized arrays and faults their pages in.  So a
-matrix's stride-2 form serves one sweep at a time, and a result is
-valid until the next transform of its kind (stride2_rows).
+which needs O(m) memory, and this module is the one that knows how it
+multiplies: up to DENSE_MATVEC_CUTOFF through a dense copy (to_dense,
+dense_rows), above it through a circulant embedding of size >= 2m
+(matvec), and, for the multigrid smoother's rows at the even or the odd
+positions, through the stride-2 blocks, embedded in a circulant of half
+that size (stride2_rows).  Each form is built on first use and held by
+the instance alone.  The symbol, the dense copy and the spectra are
+read-only: a SymToeplitz may be shared (the step matrices share their
+mass matrix per mesh), so no caller may write into them.
 """
 
 from __future__ import annotations
@@ -137,7 +119,15 @@ class SymToeplitz:
         return half[3], half[4]
 
     def _stride2_form(self):
-        """(P, S_EE, S_EO, spectrum, rows) for stride2_rows."""
+        """(P, S_EE, S_EO, spectrum, rows) for stride2_rows.
+
+        The blocks T_EE and T_OO of T at the even and at the odd
+        positions are symmetric Toeplitz with symbol t[0::2], T_EO has
+        the entry t_|2k-1| at lag k = a - b, and T_OE = T_EO^T.  All four
+        embed in one circulant of size P >= m, half the pad of a full
+        product, with two spectra: S_EE, which is real and also acts as
+        S_OO, and S_EO, whose conjugate is S_OE (Chan & Ng, "Conjugate
+        gradient methods for Toeplitz systems", SIAM Rev. 38, 1996)."""
         t, m = self.symbol, self.m
         n_even, n_odd = (m + 1) // 2, m // 2
         pad = 1 << (m - 1).bit_length()
@@ -177,9 +167,8 @@ class SymToeplitz:
         with the views of its rows (dense_rows).
 
         With v = (t_{m-1}, ..., t_1, t_0, t_1, ..., t_{m-1}), row i is
-        v[m-1-i : 2m-1-i]: one view of v, rows stepping back one entry,
-        then one copy.  The view is a plain ndarray on v's buffer, which
-        costs a few microseconds less than numpy's as_strided."""
+        v[m-1-i : 2m-1-i]: one view of v (a plain ndarray on v's
+        buffer), rows stepping back one entry, then one copy."""
         if self.m > DENSE_CAP:
             raise ValueError(f"dense cap exceeded: m={self.m} > {DENSE_CAP}")
         if self._dense is None:

@@ -174,9 +174,11 @@ class TestTransfers:
 
     def test_adjointness(self):
         rng = np.random.default_rng(21)
-        for m in (7, 8, 33, 100):
-            xc = rng.standard_normal(m // 2)
-            yf = rng.standard_normal(m)
+        inputs = [(rng.standard_normal(m // 2), rng.standard_normal(m), m)
+                  for m in (7, 8, 33, 100)]
+        # integer vectors, which both transfers take as float64
+        inputs.append((np.arange(3), np.arange(7), 7))
+        for xc, yf, m in inputs:
             lhs = interp_apply(xc, m) @ yf
             rhs = xc @ restrict_apply(yf, m)
             assert lhs == pytest.approx(rhs, rel=1e-14)

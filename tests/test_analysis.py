@@ -132,21 +132,23 @@ class TestSpectrum:
         assert rep.lambda_min == pytest.approx(w[0], rel=1e-10)
         assert rep.lambda_max == pytest.approx(w[-1], rel=1e-10)
 
-    def test_iterative_branch_agrees_with_dense(self):
+    def test_iterative_branch_agrees_with_dense(self, monkeypatch):
         _, _, mats = model(300)
         dense_rep = spectrum(mats.a_full)
-        iter_rep = spectrum(mats.a_full, tol=1e-8, dense_cap=100)
+        monkeypatch.setattr(analysis, "EIG_DENSE_CAP", 100)
+        iter_rep = spectrum(mats.a_full, tol=1e-8)
         assert iter_rep.method == "iterative"
         assert iter_rep.kappa == pytest.approx(dense_rep.kappa, rel=1e-4)
 
     @pytest.mark.parametrize("m", [300, 386, 392, 512])
     @pytest.mark.parametrize("alphas, beta, gamma", [
         ((0.9, 0.4), 0.3, 0.8), ((0.7, 0.5), 0.15, 0.95)])
-    def test_iterative_branch_is_close_to_dense(self, m, alphas, beta,
-                                                gamma):
+    def test_iterative_branch_is_close_to_dense(self, monkeypatch, m, alphas,
+                                                beta, gamma):
         _, _, mats = model(m, alphas, beta, gamma)
         want = spectrum(mats.a_full).kappa
-        got = spectrum(mats.a_full, tol=1e-8, dense_cap=100)
+        monkeypatch.setattr(analysis, "EIG_DENSE_CAP", 100)
+        got = spectrum(mats.a_full, tol=1e-8)
         assert got.method == "iterative"
         assert got.kappa == pytest.approx(want, rel=1e-5)
 
@@ -159,22 +161,34 @@ class TestSpectrum:
         theta, move = analysis._lanczos_top(lambda x: d * x, v, tol=0.0)
         assert theta == pytest.approx(6.0, rel=1e-14) and move == 0.0
 
-    def test_iterative_branch_on_a_multiple_of_the_identity(self):
-        rep = spectrum(SymToeplitz(np.r_[2.0, np.zeros(499)]), dense_cap=100)
+    def test_iterative_branch_on_a_multiple_of_the_identity(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(analysis, "EIG_DENSE_CAP", 100)
+        rep = spectrum(SymToeplitz(np.r_[2.0, np.zeros(499)]))
         assert rep.lambda_min == pytest.approx(2.0, rel=1e-14)
         assert rep.lambda_max == pytest.approx(2.0, rel=1e-14)
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(analysis, "_LANCZOS_MAXIT", 5)
+        monkeypatch.setattr(analysis, "EIG_DENSE_CAP", 100)
         _, _, mats = model(300)
         with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
-            spectrum(mats.a_full, dense_cap=100)
+            spectrum(mats.a_full)
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(analysis, "EIG_DENSE_CAP", 100)
         _, _, mats = model(300)
-        a = spectrum(mats.a_full, dense_cap=100)
-        b = spectrum(mats.a_full, dense_cap=100)
+        a = spectrum(mats.a_full)
+        b = spectrum(mats.a_full)
+        assert a.method == "iterative"
         assert a.kappa == b.kappa
+
+    def test_dense_branch_rejects_an_indefinite_matrix(self):
+        # eigenvalues 1 + 4 cos(k pi / 13): lambda_min is about -2.9, so
+        # the dense branch would report kappa = -1.69
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite"):
+            spectrum(SymToeplitz(np.r_[1.0, 2.0, np.zeros(10)]))
 
 
 class TestKappaTable:

@@ -85,3 +85,24 @@ def test_summary_carries_the_sign_test_without_ties():
                               METRICS[:1])["w"]["solution_s"]
     # the tied pair counts neither way: 9 wins of 9
     assert s["wins"] == 9 and s["sign_p"] == pytest.approx(2 / 512)
+
+
+def test_median_interval_of_the_pair_ratios():
+    # ratios 0.80, 0.82, ..., 0.98, given shuffled: for n = 10 the
+    # interval is (r_(2), r_(9)) at 1 - 2 (1 + 10) / 1024
+    parent = records({"solution_s": 1.0} for _ in range(10))
+    ratios = [0.9, 0.82, 0.96, 0.8, 0.88, 0.98, 0.84, 0.94, 0.86, 0.92]
+    change = records({"solution_s": r} for r in ratios)
+    s = bench_pairs.summarize({"w": {"parent": parent, "change": change}},
+                              METRICS[:1])["w"]["solution_s"]
+    assert s["ratio_median_interval"] == [0.82, 0.96]
+    assert s["interval_coverage"] == 1 - 22 / 1024
+    # 6 ratios is the fewest with an interval at 0.05: (r_(1), r_(6))
+    assert bench_pairs.median_interval([3.0, 1.0, 2.0, 6.0, 5.0, 4.0]) \
+        == (1.0, 6.0, 1 - 2 / 64)
+    assert bench_pairs.median_interval([1.0] * 5) == (None, None, None)
+    # 20 ratios: k = 6, (r_(6), r_(15)) at 1 - 2 P(X <= 5) = 95.86%
+    low, high, coverage = bench_pairs.median_interval(
+        [float(i) for i in range(20, 0, -1)])
+    assert (low, high) == (6.0, 15.0)
+    assert coverage == pytest.approx(0.958610535)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import mtfade
 from mtfade import cli
 from mtfade.cli import main
+from mtfade.toeplitz import SymToeplitz
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{5}E[+-]\d{2,3}$")
 
@@ -75,6 +77,19 @@ class TestCondest:
         for r in rows:
             assert 0.0 < float(r[1]) < float(r[2])
             assert float(r[3]) > 1.0
+
+    def test_indefinite_matrix_is_a_solver_failure(self, capsys,
+                                                   monkeypatch):
+        # a step matrix with lambda_min < 0, from the dense eigensolve
+        indefinite = SimpleNamespace(
+            a_full=SymToeplitz(np.r_[1.0, 2.0, np.zeros(10)]))
+        monkeypatch.setattr(mtfade.analysis, "step_matrix",
+                            lambda spec, mesh, n: indefinite)
+        code = main(["condest", "--sizes", "13"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: matrix is not positive definite")
+        assert err.count("\n") == 1
 
 
 class TestBench:

@@ -15,9 +15,10 @@ workload (default 10), the workloads of BENCHMARK.json by default.
 For each workload and end-to-end metric of BENCHMARK.json, the printout
 gives both sides' medians, the ratio change / parent of the medians, the
 pairs out of N in which the change was better (by the metric's "better"
-direction), the exact two-sided sign-test p-value of those wins, and
-whether the change's median lies beyond the parent's interquartile range
-on the better side.  OUT holds that summary, every
+direction), the exact two-sided sign-test p-value of those wins, a
+distribution-free interval for the median of the per-pair ratios change
+/ parent, and whether the change's median lies beyond the parent's
+interquartile range on the better side.  OUT holds that summary, every
 run's result (the last line of run.py's output, with its pair and which
 side ran first) and the environment each side reported.  Standard
 library only; nothing under perfbench/ is changed.
@@ -77,15 +78,33 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2 ** n)
 
 
+def median_interval(ratios: list[float]):
+    """(low, high, coverage): the order statistics (r_(k), r_(n+1-k)) of
+    the n ratios, an interval for their median whatever their
+    distribution, with k the largest value whose two-sided binomial(n,
+    1/2) tail 2 P(X <= k - 1) is at most 0.05, and its coverage one
+    minus that tail.  For n = 10 that is (r_(2), r_(9)) at 1 - 22 / 1024
+    = 97.85%.  (None, None, None) when no k works, for n < 6."""
+    n, r = len(ratios), sorted(ratios)
+    k = tail = 0
+    while 2 * (tail + math.comb(n, k)) <= 0.05 * 2 ** n:
+        tail += math.comb(n, k)
+        k += 1
+    if k == 0:
+        return None, None, None
+    return r[k - 1], r[n - k], 1 - 2 * tail / 2 ** n
+
+
 def summarize(runs: dict, metrics: list[dict]) -> dict:
     """runs maps a workload to {"parent": [...], "change": [...]}, the
     i-th record of each side from pair i; metrics are BENCHMARK.json's
     end-to-end entries.  Returns, per workload and metric present on
     both sides: each side's median, the parent's quartiles, the ratio of
     the medians, the pairs in which the change was better, the sign-test
-    p-value of those wins against the pairs in which it was worse, and
-    whether its median lies beyond the parent's interquartile range on
-    the better side."""
+    p-value of those wins against the pairs in which it was worse, the
+    median_interval of the per-pair ratios with its coverage (None when
+    a parent value is 0), and whether the change's median lies beyond
+    the parent's interquartile range on the better side."""
     out = {}
     for workload, sides in runs.items():
         out[workload] = {}
@@ -106,6 +125,9 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
             wins = sum((c < p) if lower else (c > p) for p, c in pairs)
             losses = sum((c > p) if lower else (c < p) for p, c in pairs)
             beyond = (mc < mp - (q3 - q1)) if lower else (mc > mp + (q3 - q1))
+            low, high, coverage = (
+                median_interval([c / p for p, c in pairs])
+                if all(parent) else (None, None, None))
             out[workload][name] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "parent_median": mp, "change_median": mc,
@@ -113,6 +135,8 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
                 "ratio": mc / mp if mp else None,
                 "wins": wins, "pairs": len(pairs),
                 "sign_p": sign_test(wins, losses),
+                "ratio_median_interval": [low, high],
+                "interval_coverage": coverage,
                 "beyond_parent_iqr": beyond,
             }
     return out
@@ -164,10 +188,14 @@ def main(argv: list[str]) -> int:
     for workload, metrics in summary.items():
         for name, s in metrics.items():
             ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.4f}"
+            low, high = s["ratio_median_interval"]
+            interval = ("n/a" if low is None else
+                        f"[{low:.4f}, {high:.4f}] at "
+                        f"{100 * s['interval_coverage']:.2f}%")
             print(f"{workload:<14} {name:<12} parent {s['parent_median']:.6g}"
                   f" change {s['change_median']:.6g} ratio {ratio} better in"
                   f" {s['wins']} of {s['pairs']} (sign-test p"
-                  f" {s['sign_p']:.3g})"
+                  f" {s['sign_p']:.3g}, pair ratios' median in {interval})"
                   f"{' beyond parent IQR' if s['beyond_parent_iqr'] else ''}")
     failed = any(not r.get("correct", False) for sides in runs.values()
                  for side in sides.values() for r in side)
