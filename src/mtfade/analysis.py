@@ -143,8 +143,9 @@ def spectrum(T: SymToeplitz, tol: float = 1e-6) -> SpectrumReport:
     value of T lies below lambda_max, and 1 / (Ritz value of T^-1)
     above lambda_min.  Neither is an error bound: a run that converges
     slowly stops with an estimate further from the eigenvalue than tol.
-    A dense eigensolve whose lambda_min is not positive raises
-    LinAlgError.
+    A dense lambda_min, or a least Ritz value of T, that is not positive
+    raises LinAlgError: a Ritz value is a Rayleigh quotient, so it is
+    never below lambda_min.
     """
     m = T.m
     if m <= EIG_DENSE_CAP:
@@ -158,7 +159,12 @@ def spectrum(T: SymToeplitz, tol: float = 1e-6) -> SpectrumReport:
                               kappa=float(lmax / lmin), method="dense",
                               residual_tol_achieved=0.0)
     rng = np.random.default_rng(DEFAULT_SEED)
-    lmax, achieved = _lanczos_top(T.matvec, rng.standard_normal(m), tol)
+    lmax, achieved, lowest = _lanczos_top(T.matvec, rng.standard_normal(m),
+                                          tol)
+    if not lowest > 0:
+        raise np.linalg.LinAlgError(
+            f"matrix is not positive definite (m={m}, "
+            f"Ritz value {lowest:.6g})")
 
     def solve(v):
         w, rep = cg_solve(T, v, tol=min(1e-10, tol * 1e-2), maxit=100000)
@@ -176,9 +182,10 @@ def _lanczos_top(apply, v, tol):
     """Largest eigenvalue of the symmetric operator apply, by Lanczos
     from v with full reorthogonalisation (two Gram-Schmidt passes).
 
-    Returns the largest Ritz value and its last relative move, once that
-    move is at most tol; on breakdown (the Krylov space is invariant)
-    the Ritz value is exact and the move returned is 0.
+    Returns the largest Ritz value, its last relative move, once that
+    move is at most tol, and the least Ritz value of the same
+    tridiagonal matrix; on breakdown (the Krylov space is invariant)
+    the Ritz values are exact and the move returned is 0.
     """
     m = v.size
     steps = min(_LANCZOS_MAXIT, m)
@@ -186,23 +193,27 @@ def _lanczos_top(apply, v, tol):
     basis[0] = v / np.linalg.norm(v)
     alpha, beta = [], []
     theta = 0.0
+
+    def ritz(i):  # Ritz value i, counted from the least (0)
+        return float(scipy.linalg.eigh_tridiagonal(
+            alpha, beta[:-1], eigvals_only=True, select="i",
+            select_range=(i, i))[0])
+
     for k in range(steps):
         w = apply(basis[k])
         alpha.append(float(basis[k] @ w))
         for _ in range(2):
             w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
         beta.append(float(np.linalg.norm(w)))
-        prev, theta = theta, float(scipy.linalg.eigh_tridiagonal(
-            alpha, beta[:-1], eigvals_only=True, select="i",
-            select_range=(k, k))[0])
+        prev, theta = theta, ritz(k)
         move = abs(theta - prev) / abs(theta)
         # Breakdown: the basis spans an invariant space.  A beta at
         # rounding level counts as zero: w is then rounding left in the
         # basis's own span, not a new direction.
         if beta[-1] <= np.finfo(float).eps * abs(theta) or k + 1 == m:
-            return theta, 0.0
+            return theta, 0.0, ritz(0)
         if move <= tol:
-            return theta, move
+            return theta, move, ritz(0)
         basis[k + 1] = w / beta[-1]
     raise RuntimeError(f"Lanczos did not converge in {steps} steps")
 

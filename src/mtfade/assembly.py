@@ -27,6 +27,12 @@ from .toeplitz import SymToeplitz
 # cancellation; switch to its central-difference expansion.
 _LAG_EXPANSION_CUTOFF = 10_000
 
+# The 4-point Gauss-Legendre rule on [-1, 1], read-only: every spatial
+# panel and every time slab of source_moment uses it.
+_GAUSS_X, _GAUSS_W = roots_legendre(4)
+_GAUSS_X.setflags(write=False)
+_GAUSS_W.setflags(write=False)
+
 # Geometric grading depth for cells touching the domain boundary, where
 # the manufactured sources have algebraic endpoint singularities.  The
 # innermost panel has width h * 2^(1-levels); deeper grading would push
@@ -164,28 +170,18 @@ def _graded_panels(lo, hi, toward_lo):
     return np.concatenate(([lo], hi - w * frac[::-1], [hi]))
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    x, w = roots_legendre(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 @functools.lru_cache(maxsize=8)
-def _space_rule(a: float, h: float, m: int, nx: int):
+def _space_rule(a: float, h: float, m: int):
     """Spatial quadrature of the hat moments on the m cells of width h
     starting at a: (points, weigh).
 
-    Every cell carries nx Gauss-Legendre points per panel; the two cells
+    Every panel carries the 4 Gauss-Legendre points; the two cells
     touching the boundary are split into geometrically graded panels
     because the built-in sources are singular there.  weigh is the
     sparse (m-1) x P matrix that maps values at the P points to the
     moments against the interior hats: cell k = 1..m (spanning
     [x_{k-1}, x_k]) feeds phi_{k-1} (falling) and phi_k (rising).
     """
-    gx, wx = _gauss_legendre(nx)
     k = np.arange(1, m + 1)
     lo, hi = a + (k - 1) * h, a + k * h
     first = _graded_panels(lo[0], hi[0], toward_lo=True)
@@ -197,9 +193,9 @@ def _space_rule(a: float, h: float, m: int, nx: int):
                            np.full(last.size - 1, m - 1)))  # 0-based
     mid = 0.5 * (p_lo + p_hi)
     half = 0.5 * (p_hi - p_lo)
-    pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wts = (half[:, None] * wx[None, :]).ravel()
-    cell = np.repeat(cell, nx)
+    pts = (mid[:, None] + half[:, None] * _GAUSS_X).ravel()
+    wts = (half[:, None] * _GAUSS_W).ravel()
+    cell = np.repeat(cell, _GAUSS_X.size)
     rows = np.concatenate((cell - 1, cell))
     cols = np.tile(np.arange(pts.size), 2)
     vals = np.concatenate((wts * (hi[cell] - pts) / h,
@@ -214,10 +210,10 @@ def _space_rule(a: float, h: float, m: int, nx: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _space_moments(terms, a: float, h: float, m: int, nx: int):
+def _space_moments(terms, a: float, h: float, m: int):
     """The moments weigh @ p_i(points) of each spatial part p_i of a
     separable source's terms, as a read-only (terms x m-1) array."""
-    pts, weigh = _space_rule(a, h, m, nx)
+    pts, weigh = _space_rule(a, h, m)
     moments = np.array([weigh @ p(pts) for _, p in terms])
     moments.setflags(write=False)
     return moments
@@ -226,8 +222,8 @@ def _space_moments(terms, a: float, h: float, m: int, nx: int):
 def _slab_rule(t0, t1):
     """(nodes, weights): the 4-node Gauss-Legendre rule on the time slab
     (t0, t1), broadcast along a last axis of length 4."""
-    gt, wt = _gauss_legendre(4)
-    return 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gt, 0.5 * (t1 - t0) * wt
+    return (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GAUSS_X,
+            0.5 * (t1 - t0) * _GAUSS_W)
 
 
 @functools.lru_cache(maxsize=8)
@@ -245,14 +241,13 @@ def _time_integrals(terms, mesh: Mesh):
     return slabs
 
 
-def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
-                  nx: int = 4) -> np.ndarray:
+def source_moment(spec: ProblemSpec, mesh: Mesh, n: int) -> np.ndarray:
     """Moments of the source against each hat function over one time slab.
 
     Entry l is the integral of f * phi_l over (x_{l-1}, x_{l+1}) x
-    (t_{n-1}, t_n), by tensor Gauss-Legendre quadrature with nx points
-    per panel in space and 4 nodes in time.  The spatial rule is built
-    once per (a, h, m, nx).
+    (t_{n-1}, t_n), by the tensor 4-point Gauss-Legendre rule on every
+    spatial panel and the slab.  The spatial rule is built once per
+    (a, h, m).
 
     A source that states its terms, f = sum_i g_i(t) p_i(x) (see
     problem.SeparableSource), has the spatial moments of its p_i and
@@ -269,65 +264,47 @@ def source_moment(spec: ProblemSpec, mesh: Mesh, n: int,
     # __dict__ (functools.wraps) keeps the cached path
     terms = getattr(spec.source, "terms", None)
     if terms is not None:
-        moments = _space_moments(terms, float(a), float(mesh.h), mesh.m, nx)
+        moments = _space_moments(terms, float(a), float(mesh.h), mesh.m)
         return _time_integrals(terms, mesh)[n - 1] @ moments
     t_nodes, t_weights = _slab_rule(mesh.times[n - 1], mesh.times[n])
-    pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m, nx)
+    pts, weigh = _space_rule(float(a), float(mesh.h), mesh.m)
     ft = np.zeros(pts.size)
     for tq, twq in zip(t_nodes, t_weights):
         ft += twq * np.asarray(spec.source(pts, tq), dtype=np.float64)
     return weigh @ ft
 
 
-def history_weight(alpha, n: int, k, mesh: Mesh):
-    """Memory-term weight for history level k at the current level n.
+def history_weight(orders, n: int, mesh: Mesh) -> np.ndarray:
+    """The memory weights w_1 .. w_{n-1} at level n (empty for n = 1),
+    summed over the temporal orders (a FractionalOrders) in order.
 
-    This is the second difference of t -> t^(2-alpha) across the two
-    intervals, divided by tau_k * Gamma(3-alpha); always positive by
-    convexity of the power map.  k may be an integer array, giving the
-    weights of all those levels at once, and alpha an array of orders,
-    giving one row of weights per order (shape alpha.shape + k.shape).
     With e = 2 - alpha and g_j = (t_n - t_j)^e - (t_{n-1} - t_j)^e, the
-    weight is (g_{k-1} - g_k) / (tau_k Gamma(3-alpha)).  Every k takes g
-    over j = lo-1 .. hi and tau_lo .. tau_hi as slices, lo and hi its
-    least and greatest level, and divides once over those contiguous
-    levels; a k that is not a range of step 1 then picks its levels from
-    the result.  So the weights of every order cost one pass of two
-    arrays of powers, and a range of step 1 (the levels rhs_vector asks
-    for, range(1, n)) takes no min, max or gather.
-    rhs_vector calls it on graded meshes only, once per step for all the
-    orders; a uniform mesh reads its weights from one lag row (_lag_row).
+    weight of level k for one order is (g_{k-1} - g_k) / (tau_k
+    Gamma(3-alpha)): the second difference of t -> t^e across the two
+    intervals, positive by convexity.  On a uniform mesh rhs_vector reads
+    the same row from _lag_row.  A level n outside 1 .. N raises
+    ValueError.
     """
-    if isinstance(k, range) and k.step == 1:
-        lo, hi, pick = k.start, k.stop - 1, ...
-    else:
-        k = np.asarray(k)
-        lo, hi = int(k.min()), int(k.max())
-        pick = (..., k - lo)
-    if lo < 1 or hi > n - 1:
-        raise ValueError(f"history index k={k} must satisfy 1 <= k <= n-1={n - 1}")
-    if n > mesh.n_steps:
-        raise ValueError(f"level n={n} is past the mesh's {mesh.n_steps} steps")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    t = mesh.times[lo - 1:hi + 1]
-    e = (2.0 - alpha)[..., None]  # one row of g per order
-    g = (mesh.times[n] - t) ** e - (mesh.times[n - 1] - t) ** e
-    scale = mesh.taus[lo - 1:hi] * gamma_fn(3.0 - alpha)[..., None]
-    return ((g[..., :-1] - g[..., 1:]) / scale)[pick]
+    if not 1 <= n <= mesh.n_steps:
+        raise ValueError(f"level n={n} is outside 1..{mesh.n_steps}")
+    t, taus = mesh.times[:n], mesh.taus[:n - 1]
+    w = np.zeros(n - 1)
+    for alpha, c in zip(orders.alphas, orders.a_coeffs):
+        e = 2.0 - alpha
+        g = (mesh.times[n] - t) ** e - (mesh.times[n - 1] - t) ** e
+        w += c * ((g[:-1] - g[1:]) / (taus * gamma_fn(3.0 - alpha)))
+    return w
 
 
 @functools.lru_cache(maxsize=8)
 def _lag_row(orders, tau: float, n_steps: int):
-    """The memory weights of a uniform mesh by lag, as one read-only row.
+    """history_weight on a uniform mesh, as one read-only row by lag.
 
-    With uniform steps the weight of level k at level n depends on the
-    lag L = n - k alone: tau^(1-alpha) ((L+1)^e - 2 L^e + (L-1)^e) /
-    Gamma(3-alpha), e = 2 - alpha.  It is taken as history_weight takes
-    it, the second difference of t^e at the elapsed times L tau over
-    tau Gamma(3-alpha), from one array of powers per order.  w[L] sums
-    it over the temporal orders for L = 0 .. N-1 (w[0] = 0: no level
-    has lag 0), so the weights of levels k = 1 .. n-1 at step n are
-    w[n-1:0:-1].
+    The weight of level k at level n depends on the lag L = n - k alone,
+    and is taken as history_weight takes it, the second difference of
+    t^e at the elapsed times L tau.  w[L] sums it over the temporal
+    orders for L = 0 .. N-1 (w[0] = 0: no level has lag 0), so
+    history_weight(orders, n, mesh) is w[n-1:0:-1].
     """
     lag_times = tau * np.arange(n_steps + 1)
     w = np.zeros(n_steps)
@@ -342,20 +319,13 @@ def _memory_row(orders, mesh: Mesh, n: int) -> np.ndarray:
     """dw with dw @ (U^0 .. U^{n-1}) = -mem at level n >= 2.
 
     mem = sum_k w_k (U^k - U^{k-1}) = sum_j (w_j - w_{j+1}) U^j with
-    w_0 = w_n = 0, the w_k summed over the temporal orders in order.  A
-    uniform mesh reads w_1 .. w_{n-1} as a reversed slice of its cached
-    lag row; a graded one sums the rows of all the orders from one
-    history_weight call on the contiguous levels range(1, n).  Both
-    difference w the same way.
+    w_0 = w_n = 0, w the row of history_weight (a slice of _lag_row on
+    a uniform mesh).
     """
     if mesh.uniform:
         w = _lag_row(orders, float(mesh.taus[0]), mesh.n_steps)[n - 1:0:-1]
     else:
-        rows = history_weight(np.array(orders.alphas), n, range(1, n), mesh)
-        coeffs = orders.a_coeffs
-        w = coeffs[0] * rows[0]
-        for c, row in zip(coeffs[1:], rows[1:]):
-            w += c * row
+        w = history_weight(orders, n, mesh)
     dw = np.empty(n)
     dw[0] = w[0]
     np.subtract(w[1:], w[:-1], out=dw[1:-1])
@@ -378,9 +348,7 @@ def rhs_vector(spec: ProblemSpec, mesh: Mesh, states: np.ndarray,
 
         F^n = s F_src + M (2 c_mass U^{n-1} - s mem) - A U^{n-1},
 
-    by the identity StepMatrix states.  The memory weights come from one
-    cached lag row on a uniform mesh and from one history_weight call,
-    two arrays of powers per temporal order, on a graded one.
+    by the identity StepMatrix states, and -mem = _memory_row @ states.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != mesh.m - 1 \

@@ -29,9 +29,12 @@ _EPS2 = float(np.finfo(np.float64).eps) ** 2
 class SolveReport:
     iterations: int
     final_relres: float
-    converged: bool
-    reason: str = ""  # "converged", "nonfinite", "maxit" or "breakdown"
-    branch: str = ""
+    reason: str  # "converged", "nonfinite", "maxit" or "breakdown"
+    branch: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 def norm2(v: np.ndarray) -> float:
@@ -64,7 +67,7 @@ def _exponent(v: np.ndarray) -> int:
 
 
 def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
-            x0: np.ndarray | None, branch: str = ""):
+            x0: np.ndarray | None, branch: str):
     """Drive step(b, x, r, budget) -> (x, iterations, r) until tol is met.
 
     This is the one stopping rule of every solver.  b and x0 are first
@@ -95,7 +98,7 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
         raise ValueError("tolerance must be positive and finite")
     b = np.asarray(b, dtype=np.float64)
     if not b.any():
-        return np.zeros_like(b), SolveReport(0, 0.0, True, "converged", branch)
+        return np.zeros_like(b), SolveReport(0, 0.0, "converged", branch)
     e = _exponent(b)
     b = np.ldexp(b, -e)
     bnorm = norm2(b)
@@ -126,8 +129,7 @@ def iterate(A, b: np.ndarray, step, tol: float, maxit: int,
         # x is this loop's own array, never the caller's x0, so it is
         # scaled back in place rather than copied once more.
         np.ldexp(x, e, out=x)
-        return x, SolveReport(it, relres, reason == "converged", reason,
-                              branch)
+        return x, SolveReport(it, relres, reason, branch)
 
 
 def cf_jacobi_sweep(A, x: np.ndarray, b: np.ndarray,

@@ -158,8 +158,10 @@ class TestSpectrum:
         d = np.arange(1.0, 9.0)
         v = np.zeros(8)
         v[[2, 5]] = 1.0
-        theta, move = analysis._lanczos_top(lambda x: d * x, v, tol=0.0)
+        theta, move, lowest = analysis._lanczos_top(lambda x: d * x, v,
+                                                    tol=0.0)
         assert theta == pytest.approx(6.0, rel=1e-14) and move == 0.0
+        assert lowest == pytest.approx(3.0, rel=1e-14)
 
     def test_iterative_branch_on_a_multiple_of_the_identity(self,
                                                              monkeypatch):
@@ -186,6 +188,16 @@ class TestSpectrum:
     def test_dense_branch_rejects_an_indefinite_matrix(self):
         # eigenvalues 1 + 4 cos(k pi / 13): lambda_min is about -2.9, so
         # the dense branch would report kappa = -1.69
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="not positive definite"):
+            spectrum(SymToeplitz(np.r_[1.0, 2.0, np.zeros(10)]))
+
+    def test_iterative_branch_rejects_an_indefinite_matrix(self,
+                                                           monkeypatch):
+        # the same matrix above the cap: Lanczos runs all 12 steps, and
+        # its least Ritz value is then lambda_min, about -2.88, which
+        # refuses the matrix before the inverse Lanczos's inner CG runs
+        monkeypatch.setattr(analysis, "EIG_DENSE_CAP", 5)
         with pytest.raises(np.linalg.LinAlgError,
                            match="not positive definite"):
             spectrum(SymToeplitz(np.r_[1.0, 2.0, np.zeros(10)]))

@@ -326,7 +326,7 @@ class TestManufacturedProblems:
     def test_sources_match_term_by_term_forms(self, orders, m):
         # The quadrature points of source_moment, with the graded panels
         # that reach toward the singular endpoints.
-        x, _ = _space_rule(0.0, 1.0 / m, m, 4)
+        x, _ = _space_rule(0.0, 1.0 / m, m)
         o = orders_default(*orders)
         cases = [(make_example_1(o), partial(reference_source_1, o))]
         for k1, k2 in ((1.0, 2.0), (5.0, 300.0)):
